@@ -25,7 +25,6 @@ from .polyring import (
     substitute,
 )
 from .groebner import (
-    CHECK_FIXED_POINT,
     Ideal,
     eliminate,
     equal_ideals,
@@ -39,7 +38,6 @@ from .groebner import (
     normal_form,
     radical_member,
     saturate,
-    saturate_product,
     spolynomial,
 )
 from .geometry import (

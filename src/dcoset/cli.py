@@ -22,14 +22,21 @@ import signal
 import sys
 from fractions import Fraction
 
-from .polyring import GREVLEX, LEX, RingCtx, RingMismatchError, extend_ring, format_poly
+from .polyring import GREVLEX, LEX, RingCtx, extend_ring, format_poly
 from .groebner import Ideal, eliminate, groebner_basis, ideal_member, radical_member, saturate
 from .geometry import ConstructibleSet, locally_closed, vanishing, whole_space
 from .morphism import PolyMap, image_closure, point_in_image
 from .action import GroupActionSpec, orbit_closure, same_orbit
-from .parsing import ParseError, parse_point, parse_poly, parse_polys
+from .parsing import parse_point, parse_poly, parse_polys
 from .report import Report, merge_reports
-from .scenarios import get_scenario, run_scenario, scenario_catalog, scenario_names
+from .scenarios import (
+    isotropic_shear_action,
+    row_shear_action,
+    run_scenario,
+    scaling_action,
+    scenario_catalog,
+    scenario_names,
+)
 
 __all__ = ["main"]
 
@@ -47,10 +54,7 @@ def _ring_from(names_arg: str, order_name: str) -> RingCtx:
     if not names:
         raise CliError("--ring needs at least one variable name")
     order = {"lex": LEX, "grevlex": GREVLEX}[order_name]
-    try:
-        return RingCtx(names, order)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return RingCtx(names, order)
 
 
 def _print_basis(gens) -> None:
@@ -70,52 +74,10 @@ def _domain(ring: RingCtx, carrier_arg, excluded_arg) -> ConstructibleSet:
     return whole_space(ring)
 
 
-# built-in actions for the orbit verb
-
-def _action_shear_mat2() -> GroupActionSpec:
-    M = RingCtx(("a11", "a12", "a21", "a22"))
-    C = extend_ring(M, ("lam",))
-    a11, a12, a21, a22, lam = C.gens()
-    return GroupActionSpec(
-        space=M,
-        params=("lam",),
-        constraint=Ideal(RingCtx(("lam",)), []),
-        action=(a11 + lam * a21, a12 + lam * a22, a21, a22),
-        identity={"lam": 0},
-    )
-
-
-def _action_scale_mat2() -> GroupActionSpec:
-    M = RingCtx(("m11", "m12", "m21", "m22"))
-    C = extend_ring(M, ("s", "u"))
-    P = RingCtx(("s", "u"))
-    s = C.gen("s")
-    return GroupActionSpec(
-        space=M,
-        params=("s", "u"),
-        constraint=Ideal(P, [P.gen("s") * P.gen("u") - 1]),
-        action=tuple(s * C.gen(v) for v in M.vars),
-        identity={"s": 1, "u": 1},
-    )
-
-
-def _action_isotropic_shear() -> GroupActionSpec:
-    X = RingCtx(("x1", "x2", "x3", "x4"))
-    C = extend_ring(X, ("a",))
-    x1, x2, x3, x4, a = C.gens()
-    return GroupActionSpec(
-        space=X,
-        params=("a",),
-        constraint=Ideal(RingCtx(("a",)), []),
-        action=(x1 + a * x2, x2, x3 - a * x4, x4),
-        identity={"a": 0},
-    )
-
-
 _BUILTIN_ACTIONS = {
-    "shear-mat2": _action_shear_mat2,
-    "scale-mat2": _action_scale_mat2,
-    "isotropic-shear": _action_isotropic_shear,
+    "shear-mat2": row_shear_action,
+    "scale-mat2": scaling_action,
+    "isotropic-shear": isotropic_shear_action,
 }
 
 
@@ -145,16 +107,13 @@ def _custom_action(args) -> GroupActionSpec:
     if len(ident_vals) != len(params):
         raise CliError(f"--identity must give {len(params)} values")
     identity = {name: Fraction(v.strip()) for name, v in zip(params, ident_vals)}
-    try:
-        return GroupActionSpec(
-            space=space,
-            params=params,
-            constraint=constraint,
-            action=action,
-            identity=identity,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return GroupActionSpec(
+        space=space,
+        params=params,
+        constraint=constraint,
+        action=action,
+        identity=identity,
+    )
 
 
 def _resolve_action(args) -> GroupActionSpec:
@@ -227,11 +186,7 @@ def _cmd_saturate(args) -> int:
     ring = _ring_from(args.ring, args.order)
     ideal = Ideal(ring, list(parse_polys(args.ideal, ring)))
     by = parse_poly(args.by, ring)
-    try:
-        result = saturate(ideal, by)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    _print_basis(groebner_basis(result))
+    _print_basis(groebner_basis(saturate(ideal, by)))
     return 0
 
 
@@ -281,12 +236,7 @@ def _cmd_verify(args) -> int:
         names = (args.scenario,)
     else:
         raise CliError("verify needs a scenario name or --all")
-    reports = []
-    for name in names:
-        try:
-            reports.append(run_scenario(name))
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+    reports = [run_scenario(name) for name in names]
     if args.json:
         if len(reports) == 1:
             print(reports[0].to_json())
@@ -310,9 +260,8 @@ def _cmd_oracle(args) -> int:
     reports = []
     for p in primes:
         try:
-            cfg = FpConfig(p)
-            reports.append(cross_check(args.scenario, cfg))
-        except (ValueError, GuardViolation) as exc:
+            reports.append(cross_check(args.scenario, FpConfig(p)))
+        except GuardViolation as exc:
             raise CliError(str(exc)) from None
     merged = (
         reports[0]
@@ -442,7 +391,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ParseError, RingMismatchError) as exc:
+    except (CliError, ValueError) as exc:
+        # ValueError covers ParseError, RingMismatchError and every library
+        # rejection of malformed input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

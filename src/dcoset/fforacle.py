@@ -172,9 +172,10 @@ def enumerate_orbits(
 ) -> OrbitCensus:
     """Partition the F_p-points of ``domain`` into orbits.
 
-    Orbits are grown by breadth-first closure, so the element list only
-    needs to generate the group.  The domain must be action-stable;
-    a point moved outside it raises ValueError.
+    ``group_elements`` lists all of G(F_p), so the orbit of a point x is
+    {g·x} in one pass over the elements.  The domain must be action-stable;
+    a point moved outside it raises ValueError.  Checking the moves of x
+    alone suffices, since G·y = G·x for every y in the orbit.
     """
     p = cfg.p
     elements = group_elements(spec, p)
@@ -195,21 +196,11 @@ def enumerate_orbits(
         if start in seen:
             continue
         orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                for g in elements:
-                    combined = pt + g
-                    moved = tuple(c(combined) for c in coords)
-                    if moved not in orbit:
-                        if moved not in point_set:
-                            raise ValueError(
-                                f"action moved {pt} outside the domain to {moved}"
-                            )
-                        orbit.add(moved)
-                        nxt.append(moved)
-            frontier = nxt
+        for g in elements:
+            moved = tuple(c(start + g) for c in coords)
+            if moved not in point_set:
+                raise ValueError(f"action moved {start} outside the domain to {moved}")
+            orbit.add(moved)
         seen |= orbit
         orbit_count += 1
         size = len(orbit)
@@ -275,9 +266,6 @@ def _census_check(shadow, cfg: FpConfig) -> CheckResult:
         and census.sizes == want_sizes
     )
     fixed_pred = set_pred_mod_p(shadow.fixed_stratum, p)
-    declared_fixed = tuple(
-        sorted(pt for pt in census.fixed_points if fixed_pred(pt))
-    )
     # the declared stratum must be exactly the enumerated fixed points
     stratum_points = [
         pt

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .polyring import Polynomial, RationalPoint, RingCtx, as_point, evaluate
+from .polyring import Polynomial, RationalPoint, RingCtx, as_point, evaluate, lift
 from .groebner import (
     Ideal,
     equal_ideals,
@@ -239,6 +239,34 @@ def contains_point(a: ConstructibleSet, point) -> bool:
     return any(p.contains_point(pt) for p in a.pieces)
 
 
+def saturated_product(
+    a: ConstructibleSet, base=lambda ideal: ideal, project=lambda ideal: ideal
+) -> Ideal | None:
+    """Product of project(base(I) : g^inf) over the nonempty pieces
+    V(I) \\ V(J) of `a` and the generators g of J; a piece with nothing
+    removed contributes project(base(I)).  `base` maps each carrier into
+    the ring where the saturations run, and `project` maps each saturated
+    ideal to the ring of the answer; both default to the identity.
+
+    Returns None when every piece is empty.  Saturations run lazily, so
+    once the product is the zero ideal no further Groebner work is done.
+    """
+    result = None  # running product ideal; None means nothing accumulated yet
+    for piece in a.pieces:
+        if piece.is_empty():
+            continue
+        ideal = base(piece.carrier)
+        if piece.excluded is None:
+            parts = (ideal,)
+        else:
+            parts = (saturate(ideal, lift(g, ideal.ring)) for g in piece.excluded.generators)
+        for part in map(project, parts):
+            result = part if result is None else ideal_product(result, part)
+            if result.is_zero_ideal():
+                return result  # already the whole space
+    return result
+
+
 def closure(a: ConstructibleSet) -> ClosedSet:
     """Zariski closure.
 
@@ -246,21 +274,9 @@ def closure(a: ConstructibleSet) -> ClosedSet:
     and the union of closed sets is the vanishing locus of the product
     ideal.  The empty set closes to V(1).
     """
-    ring = a.ring
-    result = None  # running product ideal; None means nothing accumulated yet
-    for piece in a.pieces:
-        if piece.is_empty():
-            continue
-        if piece.excluded is None:
-            parts = [piece.carrier]
-        else:
-            parts = [saturate(piece.carrier, g) for g in piece.excluded.generators]
-        for part in parts:
-            result = part if result is None else ideal_product(result, part)
-            if result.is_zero_ideal():
-                return ClosedSet(result)  # already the whole space
+    result = saturated_product(a)
     if result is None:
-        return ClosedSet(Ideal(ring, [ring.one()]))
+        return ClosedSet(Ideal(a.ring, [a.ring.one()]))
     return ClosedSet(result)
 
 

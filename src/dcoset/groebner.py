@@ -44,7 +44,6 @@ __all__ = [
     "radical_member",
     "eliminate",
     "saturate",
-    "saturate_product",
     "equal_ideals",
     "ideal_sum",
     "ideal_product",
@@ -318,20 +317,6 @@ def saturate(ideal: Ideal, g: Polynomial) -> Ideal:
     gens = [lift(p, big) for p in ideal.generators]
     gens.append(big.one() - big.gen(t) * lift(g, big))
     return eliminate(Ideal(big, gens), {t}, into=ideal.ring)
-
-
-def saturate_product(ideal: Ideal, factors: Sequence[Polynomial]) -> Ideal:
-    """ideal : (f1*...*fk)^inf, as per-factor saturations run to a fixed point."""
-    if not factors:
-        return Ideal(ideal.ring, ideal.generators)
-    current = ideal
-    while True:
-        nxt = current
-        for f in factors:
-            nxt = saturate(nxt, f)
-        if equal_ideals(nxt, current):
-            return current
-        current = nxt
 
 
 def equal_ideals(a: Ideal, b: Ideal) -> bool:

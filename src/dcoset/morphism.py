@@ -33,12 +33,10 @@ from .groebner import (
     Ideal,
     eliminate,
     groebner_basis,
-    ideal_product,
     ideal_sum,
     lift_ideal,
     normal_form,
     radical_member,
-    saturate,
 )
 from .geometry import (
     ClosedSet,
@@ -47,6 +45,7 @@ from .geometry import (
     intersection,
     is_empty,
     locally_closed,
+    saturated_product,
     vanishing,
 )
 
@@ -120,31 +119,10 @@ def _graph_setup(f: PolyMap):
 
 
 def image_closure(f: PolyMap, domain: ConstructibleSet) -> ClosedSet:
-    """Zariski closure of f(domain) in the target space.
-
-    Per piece V(I) \\ V(J): saturate the graph-plus-carrier ideal by each
-    generator of J, eliminate the source variables, and union the results.
-    """
-    if domain.ring.vars != f.source.vars:
-        raise ValueError("domain does not live in the source space")
-    big, graph = _graph_setup(f)
-    result = None
-    for piece in domain.pieces:
-        if piece.is_empty():
-            continue
-        base = ideal_sum(lift_ideal(piece.carrier, big), Ideal(big, graph))
-        if piece.excluded is None:
-            parts = [base]
-        else:
-            parts = [saturate(base, lift(g, big)) for g in piece.excluded.generators]
-        for part in parts:
-            elim = eliminate(part, set(f.source.vars), into=f.target)
-            result = elim if result is None else ideal_product(result, elim)
-            if result.is_zero_ideal():
-                return ClosedSet(result)
-    if result is None:
-        return ClosedSet(Ideal(f.target, [f.target.one()]))
-    return ClosedSet(result)
+    """Zariski closure of f(domain) in the target space: the image
+    constraints of :func:`parametric_image_constraints` over the empty
+    stratum."""
+    return ClosedSet(parametric_image_constraints(f, domain, Ideal(f.target, [])))
 
 
 def point_in_image(f: PolyMap, domain: ConstructibleSet, point) -> bool:
@@ -158,28 +136,27 @@ def point_in_image(f: PolyMap, domain: ConstructibleSet, point) -> bool:
 def parametric_image_constraints(f: PolyMap, domain: ConstructibleSet, stratum: Ideal) -> Ideal:
     """Constraints a target point must satisfy to be hit, given stratum constraints.
 
-    Eliminates the source variables from carrier + graph + stratum per piece,
-    then reduces the resulting generators modulo a Groebner basis of the
-    stratum ideal, so the answer lists only conditions that are new relative
-    to the stratum.  The result describes the closure of the image of the
-    part of the domain sitting over the stratum.
+    Per piece V(I) \\ V(J): saturate carrier + graph + stratum by each
+    generator of J, eliminate the source variables, and multiply the
+    results.  The generators are then reduced modulo a Groebner basis of
+    the stratum ideal, so the answer lists only conditions that are new
+    relative to the stratum.  The result describes the closure of the image
+    of the part of the domain sitting over the stratum; an empty domain
+    gives the unit ideal.
     """
     if stratum.ring.vars != f.target.vars:
         raise ValueError("stratum ideal must live on the target")
+    if domain.ring.vars != f.source.vars:
+        raise ValueError("domain does not live in the source space")
     big, graph = _graph_setup(f)
+    graph_ideal = Ideal(big, graph)
     stratum_big = lift_ideal(stratum, big)
-    result = None
-    for piece in domain.pieces:
-        if piece.is_empty():
-            continue
-        base = ideal_sum(lift_ideal(piece.carrier, big), Ideal(big, graph), stratum_big)
-        if piece.excluded is None:
-            parts = [base]
-        else:
-            parts = [saturate(base, lift(g, big)) for g in piece.excluded.generators]
-        for part in parts:
-            elim = eliminate(part, set(f.source.vars), into=f.target)
-            result = elim if result is None else ideal_product(result, elim)
+    source_vars = set(f.source.vars)
+    result = saturated_product(
+        domain,
+        base=lambda carrier: ideal_sum(lift_ideal(carrier, big), graph_ideal, stratum_big),
+        project=lambda part: eliminate(part, source_vars, into=f.target),
+    )
     if result is None:
         return Ideal(f.target, [f.target.one()])
     if stratum.generators:

@@ -463,6 +463,9 @@ class Polynomial:
         return self.ring.vars == other.ring.vars and self.terms == other.terms
 
     def __hash__(self):
+        # constants compare equal to numbers, so they must hash like them
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.ring.vars, frozenset(self.terms.items())))
 
     def __bool__(self):

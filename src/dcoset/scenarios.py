@@ -165,23 +165,62 @@ def _ok(flag: bool, detail: str):
 
 
 # ---------------------------------------------------------------------------
+# the group actions the scenarios study; the CLI's orbit verb offers them too
+
+
+def row_shear_action() -> GroupActionSpec:
+    """Add lam times the bottom row to the top row of a 2x2 matrix."""
+    M = RingCtx(("a11", "a12", "a21", "a22"))
+    C = extend_ring(M, ("lam",))
+    a11, a12, a21, a22, lam = C.gens()
+    return GroupActionSpec(
+        space=M,
+        params=("lam",),
+        constraint=Ideal(RingCtx(("lam",)), []),
+        action=(a11 + lam * a21, a12 + lam * a22, a21, a22),
+        identity={"lam": 0},
+    )
+
+
+def scaling_action() -> GroupActionSpec:
+    """The torus s (with s*u = 1) scaling every entry of a 2x2 matrix."""
+    M = RingCtx(("m11", "m12", "m21", "m22"))
+    C = extend_ring(M, ("s", "u"))
+    P = RingCtx(("s", "u"))
+    s = C.gen("s")
+    return GroupActionSpec(
+        space=M,
+        params=("s", "u"),
+        constraint=Ideal(P, [P.gen("s") * P.gen("u") - 1]),
+        action=tuple(s * C.gen(v) for v in M.vars),
+        identity={"s": 1, "u": 1},
+    )
+
+
+def isotropic_shear_action() -> GroupActionSpec:
+    """(x1, x2, x3, x4) -> (x1 + a*x2, x2, x3 - a*x4, x4), which preserves
+    the cone x1*x4 + x2*x3 = 0."""
+    X = RingCtx(("x1", "x2", "x3", "x4"))
+    C = extend_ring(X, ("a",))
+    x1, x2, x3, x4, a = C.gens()
+    return GroupActionSpec(
+        space=X,
+        params=("a",),
+        constraint=Ideal(RingCtx(("a",)), []),
+        action=(x1 + a * x2, x2, x3 - a * x4, x4),
+        identity={"a": 0},
+    )
+
+
+# ---------------------------------------------------------------------------
 # shared engine: row-shear action on 2x2 matrices and its invariant map
 
 
 def _shear_core():
-    M = RingCtx(("a11", "a12", "a21", "a22"))
+    shear = row_shear_action()
+    M = shear.space
     a11, a12, a21, a22 = M.gens()
     det = a11 * a22 - a12 * a21
-
-    C = extend_ring(M, ("lam",))
-    c11, c12, c21, c22, lam = C.gens()
-    shear = GroupActionSpec(
-        space=M,
-        params=("lam",),
-        constraint=Ideal(RingCtx(("lam",)), []),
-        action=(c11 + lam * c21, c12 + lam * c22, c21, c22),
-        identity={"lam": 0},
-    )
 
     T = RingCtx(("b1", "b2", "d"))
     b1, b2, d = T.gens()
@@ -663,20 +702,8 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
     )
 
     # abstract scaling action on a 4-dim bottom-block space
-    B4 = RingCtx(("m11", "m12", "m21", "m22"))
-    BC = extend_ring(B4, ("s", "u"))
-    scaling = GroupActionSpec(
-        space=B4,
-        params=("s", "u"),
-        constraint=Ideal(RingCtx(("s", "u")), [RingCtx(("s", "u")).gen("s") * RingCtx(("s", "u")).gen("u") - 1]),
-        action=(
-            BC.gen("s") * BC.gen("m11"),
-            BC.gen("s") * BC.gen("m12"),
-            BC.gen("s") * BC.gen("m21"),
-            BC.gen("s") * BC.gen("m22"),
-        ),
-        identity={"s": 1, "u": 1},
-    )
+    scaling = scaling_action()
+    B4 = scaling.space
 
     base_point = (1, 0, 0, 0) if mutated else (0, 0, 0, 0)
 
@@ -871,23 +898,14 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
 def build_example3(mutated: bool = False) -> ScenarioSpec:
     name = "example3-mutated" if mutated else "example3"
 
-    X4 = RingCtx(("x1", "x2", "x3", "x4"))
+    act = isotropic_shear_action()
+    X4 = act.space
     x1, x2, x3, x4 = X4.gens()
     cone_poly = x1 * x4 + x2 * x3
     cone_ideal = Ideal(X4, [cone_poly])
     origin = Ideal(X4, [x1, x2, x3, x4])
     cone = vanishing(cone_ideal)
     punctured_cone = locally_closed(cone_ideal, origin)
-
-    XC = extend_ring(X4, ("a",))
-    cx1, cx2, cx3, cx4, ca = XC.gens()
-    act = GroupActionSpec(
-        space=X4,
-        params=("a",),
-        constraint=Ideal(RingCtx(("a",)), []),
-        action=(cx1 + ca * cx2, cx2, cx3 - ca * cx4, cx4),
-        identity={"a": 0},
-    )
 
     B2 = RingCtx(("b2", "b4"))
     b2, b4 = B2.gens()
@@ -988,7 +1006,7 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         )
 
     def run_orbit_constant():
-        big = XC
+        big = act.combined
         assignment = dict(zip(X4.vars, act.action))
         p1 = substitute(x1, assignment, into=big)
         p2 = substitute(-x3, assignment, into=big)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dcoset
 from dcoset.cli import main
 
 
@@ -93,6 +96,14 @@ def test_orbit_builtin(capsys):
     )
     assert code == 0
     assert set(out.splitlines()) == {"a22", "a21 - 1", "a12"}
+
+
+def test_orbit_builtin_scaling(capsys):
+    code, out, _ = run(
+        capsys, "orbit", "--action", "scale-mat2", "--point", "1,2,3,4"
+    )
+    assert code == 0
+    assert set(out.splitlines()) == {"m11 - 1/4*m22", "m12 - 1/2*m22", "m21 - 3/4*m22"}
 
 
 def test_orbit_same_as(capsys):
@@ -217,12 +228,31 @@ def test_parse_error_exit_2(capsys):
     assert "negative exponent" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["image", "--ring", "x,y", "--target", "x", "--map", "x"],
+        ["orbit", "--space", "x,y", "--params", "a", "--act", "x+a*y, y",
+         "--identity", "zz", "--point", "1,2"],
+    ],
+)
+def test_library_value_error_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_console_script_end_to_end():
+    # run the same checkout this process imported, installed or not
+    src = str(Path(dcoset.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dcoset.cli", "member", "--ring", "x,y",
          "--ideal", "x,1-x", "--poly", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "true"

@@ -19,7 +19,6 @@ from dcoset.groebner import (
     normal_form,
     radical_member,
     saturate,
-    saturate_product,
     spolynomial,
 )
 
@@ -103,12 +102,6 @@ def test_eliminate_circle_line():
 def test_saturate_strips_component(xy):
     x, y = xy.gens()
     S = saturate(Ideal(xy, [x * y]), x)
-    assert equal_ideals(S, Ideal(xy, [y]))
-
-
-def test_saturate_product_iterates(xy):
-    x, y = xy.gens()
-    S = saturate_product(Ideal(xy, [x * x * y]), [x, x])
     assert equal_ideals(S, Ideal(xy, [y]))
 
 

@@ -75,6 +75,15 @@ def test_image_closure_respects_domain():
     assert equal_ideals(cl.ideal, Ideal(T, [x * y - 1]))
 
 
+def test_empty_domain_gives_unit_ideal(shear_map):
+    T = shear_map.target
+    empty = vanishing(Ideal(shear_map.source, [shear_map.source.one()]))
+    assert image_closure(shear_map, empty).ideal.generators == (T.one(),)
+    # returned as is, not reduced modulo the (unit) stratum
+    cons = parametric_image_constraints(shear_map, empty, Ideal(T, [T.one()]))
+    assert cons.generators == (T.one(),)
+
+
 def test_point_in_image(shear_map):
     dom = whole_space(shear_map.source)
     assert point_in_image(shear_map, dom, (0, 0, 0))

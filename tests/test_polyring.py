@@ -44,6 +44,13 @@ def test_gen_and_const(xy):
     assert p.coefficient((0, 0)) == -1
 
 
+def test_constants_hash_like_numbers(xy):
+    assert hash(xy.const(3)) == hash(3)
+    assert hash(xy.const(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(xy.zero()) == hash(0)
+    assert 3 in {xy.const(3)}
+
+
 def test_float_coefficients_rejected(xy):
     x, _ = xy.gens()
     with pytest.raises(TypeError):
