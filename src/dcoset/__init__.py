@@ -16,7 +16,6 @@ from .polyring import (
     RingCtx,
     RingMismatchError,
     block_order,
-    compare_monomials,
     evaluate,
     extend_ring,
     format_poly,
@@ -41,10 +40,8 @@ from .groebner import (
     spolynomial,
 )
 from .geometry import (
-    ClosedSet,
     ConstructibleSet,
     LocallyClosedPiece,
-    boolean,
     closure,
     contains,
     contains_point,

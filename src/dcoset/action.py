@@ -10,7 +10,7 @@ are normal-form computations modulo the constraint ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -23,7 +23,6 @@ from .polyring import (
     evaluate,
     extend_ring,
     lift,
-    restrict,
     substitute,
 )
 from .groebner import (
@@ -36,7 +35,7 @@ from .groebner import (
     normal_form,
     radical_member,
 )
-from .geometry import ClosedSet, ConstructibleSet
+from .geometry import ConstructibleSet
 from .morphism import PolyMap
 
 __all__ = [
@@ -150,8 +149,8 @@ def check_invariant(spec: GroupActionSpec, f: Polynomial) -> bool:
     return normal_form(delta, groebner_basis(cons), big.order).is_zero()
 
 
-def orbit_closure(spec: GroupActionSpec, point) -> ClosedSet:
-    """Zariski closure of the orbit of a rational point.
+def orbit_closure(spec: GroupActionSpec, point) -> Ideal:
+    """Ideal of the Zariski closure of the orbit of a rational point.
 
     Eliminates the group parameters from (x_i - action_i(g, p)) plus the
     group constraints.
@@ -164,8 +163,7 @@ def orbit_closure(spec: GroupActionSpec, point) -> ClosedSet:
         moved = substitute(a, assignment, into=big)
         gens.append(lift(big.gen(name), big) - moved)
     gens.extend(spec.constraint_in_combined().generators)
-    closed = eliminate(Ideal(big, gens), set(spec.params), into=spec.space)
-    return ClosedSet(closed)
+    return eliminate(Ideal(big, gens), set(spec.params), into=spec.space)
 
 
 def same_orbit(spec: GroupActionSpec, p, q) -> bool:

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
-from fractions import Fraction
 
 from .polyring import GREVLEX, LEX, RingCtx, extend_ring, format_poly
 from .groebner import Ideal, eliminate, groebner_basis, ideal_member, radical_member, saturate
@@ -28,7 +26,7 @@ from .geometry import ConstructibleSet, locally_closed, vanishing, whole_space
 from .morphism import PolyMap, image_closure, point_in_image
 from .action import GroupActionSpec, orbit_closure, same_orbit
 from .parsing import parse_point, parse_poly, parse_polys
-from .report import Report, merge_reports
+from .report import merge_reports
 from .scenarios import (
     isotropic_shear_action,
     row_shear_action,
@@ -39,8 +37,6 @@ from .scenarios import (
 )
 
 __all__ = ["main"]
-
-PRIMES_ENV = "DCOSET_ORACLE_PRIMES"
 
 _CANONICAL = ("background", "example1", "example2", "example3")
 
@@ -103,10 +99,7 @@ def _custom_action(args) -> GroupActionSpec:
         if args.constraint
         else Ideal(param_ring, [])
     )
-    ident_vals = args.identity.split(",")
-    if len(ident_vals) != len(params):
-        raise CliError(f"--identity must give {len(params)} values")
-    identity = {name: Fraction(v.strip()) for name, v in zip(params, ident_vals)}
+    identity = dict(zip(params, parse_point(args.identity, len(params))))
     return GroupActionSpec(
         space=space,
         params=params,
@@ -127,20 +120,17 @@ def _resolve_action(args) -> GroupActionSpec:
 
 
 def _oracle_primes(args) -> tuple:
-    if args.prime is not None:
-        return (args.prime,)
-    if args.primes:
-        raw = args.primes
-    else:
-        raw = os.environ.get(PRIMES_ENV, "")
-    if raw:
-        try:
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError as exc:
-            raise CliError(f"bad prime list {raw!r}: {exc}") from None
-    from .fforacle import DEFAULT_PRIMES
+    if args.primes is None:
+        from .fforacle import DEFAULT_PRIMES
 
-    return DEFAULT_PRIMES
+        return DEFAULT_PRIMES
+    try:
+        primes = tuple(int(tok) for tok in args.primes.split(",") if tok.strip())
+    except ValueError as exc:
+        raise CliError(f"bad prime list {args.primes!r}: {exc}") from None
+    if not primes:
+        raise CliError(f"bad prime list {args.primes!r}: no primes given")
+    return primes
 
 
 def _cmd_gb(args) -> int:
@@ -203,8 +193,7 @@ def _map_from(args):
 
 def _cmd_image(args) -> int:
     f, domain = _map_from(args)
-    closed = image_closure(f, domain)
-    _print_basis(groebner_basis(closed.ideal))
+    _print_basis(groebner_basis(image_closure(f, domain)))
     return 0
 
 
@@ -224,8 +213,7 @@ def _cmd_orbit(args) -> int:
         same = same_orbit(spec, point, other)
         print("same-orbit" if same else "different-orbit")
         return 0 if same else 1
-    closed = orbit_closure(spec, point)
-    _print_basis(groebner_basis(closed.ideal))
+    _print_basis(groebner_basis(orbit_closure(spec, point)))
     return 0
 
 
@@ -374,8 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="finite-field cross-check of a scenario")
     p.add_argument("scenario")
-    p.add_argument("--prime", type=int, help="single prime")
-    p.add_argument("--primes", help="comma-separated primes")
+    p.add_argument("--primes", "--prime", help="comma-separated primes")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 

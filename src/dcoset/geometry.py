@@ -10,13 +10,11 @@ piece decomposition represents a set.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .polyring import Polynomial, RationalPoint, RingCtx, as_point, evaluate, lift
+from .polyring import RingCtx, as_point, evaluate, lift
 from .groebner import (
     Ideal,
-    equal_ideals,
-    ideal_member,
     ideal_product,
     ideal_sum,
     is_unit_ideal,
@@ -25,7 +23,6 @@ from .groebner import (
 )
 
 __all__ = [
-    "ClosedSet",
     "LocallyClosedPiece",
     "ConstructibleSet",
     "whole_space",
@@ -36,7 +33,6 @@ __all__ = [
     "intersection",
     "difference",
     "complement",
-    "boolean",
     "closure",
     "is_empty",
     "contains_point",
@@ -44,23 +40,6 @@ __all__ = [
     "same_set",
     "is_open_in",
 ]
-
-
-class ClosedSet:
-    """V(I): the common zero locus of an ideal's generators."""
-
-    __slots__ = ("ring", "ideal")
-
-    def __init__(self, ideal: Ideal):
-        self.ring = ideal.ring
-        self.ideal = ideal
-
-    def to_constructible(self) -> "ConstructibleSet":
-        return ConstructibleSet(self.ring, [LocallyClosedPiece(self.ideal, None)])
-
-    def __repr__(self):
-        gens = ", ".join(str(g) for g in self.ideal.generators) or "0"
-        return f"V({gens})"
 
 
 class LocallyClosedPiece:
@@ -216,16 +195,6 @@ def difference(a: ConstructibleSet, b: ConstructibleSet) -> ConstructibleSet:
     return intersection(a, complement(b))
 
 
-def boolean(kind: str, a: ConstructibleSet, b: ConstructibleSet) -> ConstructibleSet:
-    """Dispatch on kind: 'union', 'intersection' or 'difference'."""
-    ops = {"union": union, "intersection": intersection, "difference": difference}
-    try:
-        op = ops[kind]
-    except KeyError:
-        raise ValueError(f"unknown boolean operation {kind!r}") from None
-    return op(a, b)
-
-
 # ---------------------------------------------------------------------------
 # predicates and closure
 
@@ -267,8 +236,8 @@ def saturated_product(
     return result
 
 
-def closure(a: ConstructibleSet) -> ClosedSet:
-    """Zariski closure.
+def closure(a: ConstructibleSet) -> Ideal:
+    """Zariski closure, as the ideal whose vanishing locus it is.
 
     closure(V(I) \\ V(J)) = union over generators g of J of V(I : g^inf),
     and the union of closed sets is the vanishing locus of the product
@@ -276,8 +245,8 @@ def closure(a: ConstructibleSet) -> ClosedSet:
     """
     result = saturated_product(a)
     if result is None:
-        return ClosedSet(Ideal(a.ring, [a.ring.one()]))
-    return ClosedSet(result)
+        return Ideal(a.ring, [a.ring.one()])
+    return result
 
 
 def contains(outer: ConstructibleSet, inner: ConstructibleSet) -> bool:
@@ -301,5 +270,5 @@ def is_open_in(subset: ConstructibleSet, ambient: ConstructibleSet) -> bool:
     if not contains(ambient, subset):
         raise ValueError("subset is not contained in the ambient set")
     rest = difference(ambient, subset)
-    closed_part = intersection(closure(rest).to_constructible(), ambient)
+    closed_part = intersection(vanishing(closure(rest)), ambient)
     return same_set(rest, closed_part)

@@ -19,8 +19,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .polyring import (
-    GREVLEX,
-    BlockOrder,
     MonomialOrder,
     Polynomial,
     RingCtx,
@@ -53,10 +51,6 @@ __all__ = [
 
 _ONE = Fraction(1)
 
-# every groebner_basis() call re-verifies the Buchberger fixed point unless
-# a caller profiling a hot loop turns this off
-CHECK_FIXED_POINT = True
-
 
 class Ideal:
     """A finitely generated ideal, with cached reduced bases per order."""
@@ -75,9 +69,6 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb = {}
-
-    def groebner_basis(self, order: MonomialOrder | None = None):
-        return groebner_basis(self, order)
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -198,16 +189,12 @@ def _reduced_basis(basis, order):
             continue
         kept.append(basis[i])
         kept_lms.append(lm)
-    # interreduce tails to a fixed point
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1 :]
-            h = normal_form(kept[i], others, order) if others else kept[i]
-            if h != kept[i]:
-                kept[i] = h.monic(order)
-                changed = True
+    # interreduce tails in one pass: leading monomials are fixed from here
+    # on, so a tail reduced against them stays reduced
+    for i in range(len(kept)):
+        others = kept[:i] + kept[i + 1 :]
+        if others:
+            kept[i] = normal_form(kept[i], others, order).monic(order)
     kept.sort(key=lambda g: key(g.leading_monomial(order)), reverse=True)
     return tuple(kept)
 
@@ -234,8 +221,7 @@ def groebner_basis(ideal: Ideal, order: MonomialOrder | None = None):
     if cached is not None:
         return cached
     basis = _reduced_basis(_buchberger(ideal.generators, order), order)
-    if CHECK_FIXED_POINT:
-        _assert_fixed_point(basis, order)
+    _assert_fixed_point(basis, order)
     ideal._gb[tag] = basis
     return basis
 

@@ -39,9 +39,7 @@ from .groebner import (
     radical_member,
 )
 from .geometry import (
-    ClosedSet,
     ConstructibleSet,
-    LocallyClosedPiece,
     intersection,
     is_empty,
     locally_closed,
@@ -95,13 +93,6 @@ class PolyMap:
         pt = as_point(self.source, point)
         return RationalPoint(self.target, [evaluate(c, pt) for c in self.coords])
 
-    def pullback(self, g: Polynomial) -> Polynomial:
-        """g ∘ f as a polynomial on the source."""
-        if g.ring.vars != self.target.vars:
-            raise ValueError("pullback argument is not a polynomial on the target")
-        assignment = dict(zip(self.target.vars, self.coords))
-        return substitute(g, assignment, into=self.source)
-
     def __repr__(self):
         cs = ", ".join(str(c) for c in self.coords)
         return f"PolyMap({','.join(self.source.vars)} -> {','.join(self.target.vars)}; {cs})"
@@ -118,11 +109,11 @@ def _graph_setup(f: PolyMap):
     return big, graph
 
 
-def image_closure(f: PolyMap, domain: ConstructibleSet) -> ClosedSet:
-    """Zariski closure of f(domain) in the target space: the image
-    constraints of :func:`parametric_image_constraints` over the empty
-    stratum."""
-    return ClosedSet(parametric_image_constraints(f, domain, Ideal(f.target, [])))
+def image_closure(f: PolyMap, domain: ConstructibleSet) -> Ideal:
+    """Ideal of the Zariski closure of f(domain) in the target space: the
+    image constraints of :func:`parametric_image_constraints` over the
+    empty stratum."""
+    return parametric_image_constraints(f, domain, Ideal(f.target, []))
 
 
 def point_in_image(f: PolyMap, domain: ConstructibleSet, point) -> bool:

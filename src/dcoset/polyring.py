@@ -23,7 +23,6 @@ __all__ = [
     "GREVLEX",
     "BlockOrder",
     "block_order",
-    "compare_monomials",
     "mono_mul",
     "mono_div",
     "mono_divides",
@@ -173,20 +172,6 @@ def block_order(ring: "RingCtx", eliminated: Iterable[str]) -> BlockOrder:
         elim_idx,
         kept_idx,
     )
-
-
-def compare_monomials(m1: Monomial, m2: Monomial, order: MonomialOrder) -> int:
-    """Return -1, 0 or 1 as m1 <, =, > m2 in the given order."""
-    if len(m1) != len(m2):
-        raise ValueError("exponent tuples have different arities")
-    if isinstance(order, BlockOrder) and len(m1) != len(order.elim_idx) + len(order.kept_idx):
-        raise ValueError("arity does not match the block order's partition")
-    k1, k2 = order.key(m1), order.key(m2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +340,6 @@ class Polynomial:
 
     def leading_coefficient(self, order: MonomialOrder | None = None) -> Fraction:
         return self.terms[self.leading_monomial(order)]
-
-    def coefficient(self, exps: Monomial) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO)
 
     def monic(self, order: MonomialOrder | None = None) -> "Polynomial":
         if not self.terms:

@@ -34,13 +34,13 @@ _KINDS = (KIND_VERIFIED, KIND_BY_CRITERION, KIND_BY_REPRESENTATION)
 @dataclass(frozen=True)
 class CheckResult:
     id: str
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "skip"
     kind: str
     detail: str
     claim: str
 
     def __post_init__(self):
-        if self.status not in ("pass", "fail"):
+        if self.status not in ("pass", "fail", "skip"):
             raise ValueError(f"bad status {self.status!r}")
         if self.kind not in _KINDS:
             raise ValueError(f"bad kind {self.kind!r}")
@@ -65,10 +65,12 @@ class Report:
 
     @property
     def verdict(self) -> str:
-        return "pass" if all(c.status == "pass" for c in self.checks) else "fail"
-
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+        """fail if any check fails, else pass if any check passes, else skip:
+        a report made only of skipped checks has certified nothing."""
+        statuses = {c.status for c in self.checks}
+        if "fail" in statuses:
+            return "fail"
+        return "pass" if "pass" in statuses else "skip"
 
     def failing(self) -> tuple:
         return tuple(c for c in self.checks if c.status == "fail")

@@ -28,12 +28,11 @@ a declared encoding).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .polyring import (
-    Polynomial,
     RingCtx,
     evaluate,
     extend_ring,
@@ -56,7 +55,6 @@ from .geometry import (
     contains,
     contains_point,
     difference,
-    intersection,
     is_empty,
     is_open_in,
     locally_closed,
@@ -82,8 +80,6 @@ from .action import (
     base_in_all_orbit_closures,
     check_invariant,
     fixed_stratum_check,
-    orbit_closure,
-    same_orbit,
     separation_report,
     separation_report_with,
 )
@@ -266,8 +262,8 @@ def _quotient_core_checks(core, mutated: bool):
     def run_image_closure():
         cl = image_closure(inv_map, whole_space(M))
         return _ok(
-            cl.ideal.is_zero_ideal(),
-            f"closure ideal of the image: {_polys(cl.ideal.generators) if cl.ideal.generators else '(0)'}",
+            cl.is_zero_ideal(),
+            f"closure ideal of the image: {_polys(cl.generators) if cl.generators else '(0)'}",
         )
 
     def run_stratum_constraints():
@@ -330,8 +326,7 @@ def _quotient_core_checks(core, mutated: bool):
         return _ok(ok1 and ok2 and ok0 and cover_ok, detail)
 
     def run_not_closed():
-        cl = closure(predicted)
-        full = cl.ideal.is_zero_ideal()
+        full = closure(predicted).is_zero_ideal()
         proper = not is_empty(difference(whole_space(T), predicted))
         return _ok(
             full and proper,
@@ -751,8 +746,7 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
         return _ok(ok, f"contains(admissible, good-tops x bottoms) = {ok}")
 
     def run_dense():
-        cl = closure(good_tops)
-        ok = cl.ideal.is_zero_ideal()
+        ok = closure(good_tops).is_zero_ideal()
         return _ok(ok, "closure of the good top-block locus is the whole space")
 
     def run_open():
@@ -966,8 +960,7 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         return _ok(ok, "action polynomials reduce to the coordinates on x2 = x4 = 0")
 
     def run_projection():
-        cl = image_closure(proj, punctured_cone)
-        full = cl.ideal.is_zero_ideal()
+        full = image_closure(proj, punctured_cone).is_zero_ideal()
         over_origin = point_in_image(proj, punctured_cone, (0, 0))
         return _ok(
             full and over_origin,

@@ -70,7 +70,7 @@ def test_criterion_1_shear_quotient_under_10s():
     inv = PolyMap(M, T, (a21, a22, det))
 
     invariant_ok = all(check_invariant(shear, g) for g in (a21, a22, det))
-    closure_ok = image_closure(inv, whole_space(M)).ideal.is_zero_ideal()
+    closure_ok = image_closure(inv, whole_space(M)).is_zero_ideal()
     stratum = parametric_image_constraints(inv, whole_space(M), Ideal(T, [b1, b2]))
     stratum_ok = equal_ideals(stratum, Ideal(T, [d]))
     missing = locally_closed(Ideal(T, [b1, b2]), Ideal(T, [d]))
@@ -118,7 +118,7 @@ def test_criterion_2_scaling_reduction_symbolic():
     tc1 = Ideal(top, [top.gen("x11"), top.gen("x21")])
     tc2 = Ideal(top, [top.gen("x12"), top.gen("x22")])
     good_tops = locally_closed(Ideal(top, []), ideal_product(tc1, tc2))
-    dense_ok = closure(good_tops).ideal.is_zero_ideal()
+    dense_ok = closure(good_tops).is_zero_ideal()
 
     pr = PolyMap(W8, top, tuple(W8.gen(v) for v in ("w11", "w12", "w21", "w22")))
     constraints = parametric_image_constraints(pr, admissible, Ideal(top, []))

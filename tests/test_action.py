@@ -92,7 +92,7 @@ def test_orbit_closure_line(shear):
     a11, a12, a21, a22 = M.gens()
     cl = orbit_closure(shear, (0, 0, 1, 0))
     want = Ideal(M, [a12, a21 - 1, a22])
-    assert equal_ideals(cl.ideal, want)
+    assert equal_ideals(cl, want)
 
 
 def test_orbit_closure_of_fixed_point(shear):
@@ -100,14 +100,14 @@ def test_orbit_closure_of_fixed_point(shear):
     a11, a12, a21, a22 = M.gens()
     cl = orbit_closure(shear, (1, 0, 0, 0))
     want = Ideal(M, [a11 - 1, a12, a21, a22])
-    assert equal_ideals(cl.ideal, want)
+    assert equal_ideals(cl, want)
 
 
 def test_scaling_orbit_closure_is_the_line(scaling):
     cl = orbit_closure(scaling, (2, 3))
     B = scaling.space
     m1, m2 = B.gens()
-    assert equal_ideals(cl.ideal, Ideal(B, [3 * m1 - 2 * m2]))
+    assert equal_ideals(cl, Ideal(B, [3 * m1 - 2 * m2]))
 
 
 def test_same_orbit(shear):

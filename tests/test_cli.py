@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dcoset
 from dcoset.cli import main
@@ -187,12 +192,20 @@ def test_oracle_primes_list(capsys):
     assert "image-agreement-p5" in out
 
 
-def test_oracle_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("DCOSET_ORACLE_PRIMES", "3")
-    code, out, _ = run(capsys, "oracle", "background")
+def test_oracle_skipped_shadow_is_not_a_pass(capsys):
+    # example2's shadow is declared for p = 3 only
+    code, out, _ = run(capsys, "oracle", "example2", "--prime", "5")
+    assert code == 1
+    assert "[skip] projection-agreement-p5" in out
+    assert out.rstrip().endswith("verdict: skip")
+
+
+def test_oracle_skip_beside_a_pass_passes(capsys):
+    code, out, _ = run(capsys, "oracle", "example2", "--primes", "3,5")
     assert code == 0
-    assert "orbit-census-p3" in out
-    assert "p5" not in out
+    assert "[pass] projection-agreement-p3" in out
+    assert "[skip] projection-agreement-p5" in out
+    assert out.rstrip().endswith("verdict: pass")
 
 
 def test_oracle_mutant_fails(capsys):
@@ -234,6 +247,9 @@ def test_parse_error_exit_2(capsys):
         ["image", "--ring", "x,y", "--target", "x", "--map", "x"],
         ["orbit", "--space", "x,y", "--params", "a", "--act", "x+a*y, y",
          "--identity", "zz", "--point", "1,2"],
+        ["orbit", "--space", "x,y", "--params", "a", "--act", "x+a*y,y",
+         "--identity", "1/0", "--point", "1,2"],
+        ["oracle", "background", "--primes", ","],
     ],
 )
 def test_library_value_error_exit_2(capsys, argv):
@@ -256,3 +272,47 @@ def test_console_script_end_to_end():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "true"
+
+
+# small polynomial-ish texts; exponents are capped at one digit, since
+# unbounded exponents are a separate, known limit of the parser
+_TEXT = st.text(alphabet="xy01/+-*^, ", max_size=8).map(
+    lambda t: re.sub(r"\^(\s*)\d+", lambda m: "^" + m.group(1) + m.group(0)[-1], t)
+)
+# prime lists stay at p <= 3 so that every oracle run is quick
+_PRIMES = st.lists(st.sampled_from(["", " ", "0", "2", "3", "x"]), max_size=3).map(",".join)
+
+
+# one argv template per verb; A, B and C are filled with drawn texts
+_MAP = ["--ring", "x,y", "--target", "u,v", "--map", "A", "--carrier", "B"]
+_ARGV = {
+    "gb": ["gb", "--ring", "x,y", "--ideal", "A"],
+    "member": ["member", "--ring", "x,y", "--ideal", "A", "--poly", "B"],
+    "radmember": ["radmember", "--ring", "x,y", "--ideal", "A", "--poly", "B"],
+    "saturate": ["saturate", "--ring", "x,y", "--ideal", "A", "--by", "B"],
+    "eliminate": ["eliminate", "--ring", "x,y", "--ideal", "A", "--drop", "B"],
+    "image": ["image", *_MAP, "--excluded", "C"],
+    "fiber": ["fiber", *_MAP, "--point", "C"],
+    "orbit": ["orbit", "--space", "x,y", "--params", "a", "--act", "x+a*y,y",
+              "--identity", "A", "--point", "B", "--same-as", "C"],
+    "orbit-builtin": ["orbit", "--action", "scale-mat2", "--point", "A"],
+    "oracle": ["oracle", "background", "--primes", "A"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_ARGV))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_exit_contract_on_any_argv(verb, data):
+    fill = {
+        "A": data.draw(_PRIMES if verb == "oracle" else _TEXT),
+        "B": data.draw(_TEXT),
+        "C": data.draw(_TEXT),
+    }
+    argv = [fill.get(tok, tok) for tok in _ARGV[verb]]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv list
+            code = exc.code
+    assert code in (0, 1, 2)

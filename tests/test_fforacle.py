@@ -184,7 +184,8 @@ def test_cross_check_mutant_mismatch_witness():
 
 def test_cross_check_skips_undeclared_prime():
     r = cross_check("example2", FpConfig(5))
-    assert r.verdict == "pass"
+    assert r.verdict == "skip"
+    assert [c.status for c in r.checks] == ["skip"]
     assert any("skipped at p=5" in c.detail for c in r.checks)
 
 

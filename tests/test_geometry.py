@@ -5,7 +5,6 @@ import pytest
 from dcoset.polyring import RingCtx
 from dcoset.groebner import Ideal
 from dcoset.geometry import (
-    boolean,
     closure,
     contains,
     contains_point,
@@ -53,18 +52,18 @@ def test_closure_adds_boundary(xy):
     x, y = xy.gens()
     s = locally_closed(Ideal(xy, [x * y]), Ideal(xy, [x]))
     cl = closure(s)
-    assert list(cl.ideal.generators) == [y]
+    assert list(cl.generators) == [y]
 
 
 def test_closure_of_empty_is_empty(xy):
     cl = closure(empty_set(xy))
-    assert is_empty(cl.to_constructible())
+    assert is_empty(vanishing(cl))
 
 
 def test_complement_of_complement(xy):
     x, _ = xy.gens()
     v = vanishing(Ideal(xy, [x]))
-    w = boolean("difference", whole_space(xy), boolean("difference", whole_space(xy), v))
+    w = difference(whole_space(xy), difference(whole_space(xy), v))
     assert same_set(w, v)
 
 
@@ -144,7 +143,7 @@ def test_boolean_ops_agree_with_pointwise_semantics(xy):
 def test_closure_is_idempotent_and_monotone(xy):
     x, y = xy.gens()
     s = locally_closed(Ideal(xy, [x * y]), Ideal(xy, [y]))
-    cl1 = closure(s).to_constructible()
-    cl2 = closure(cl1).to_constructible()
+    cl1 = vanishing(closure(s))
+    cl2 = vanishing(closure(cl1))
     assert same_set(cl1, cl2)
     assert contains(cl1, s)

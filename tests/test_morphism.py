@@ -33,13 +33,6 @@ def test_apply(shear_map):
     assert shear_map.apply((1, 2, 3, 4)) == (3, 4, -2)
 
 
-def test_pullback(shear_map):
-    T = shear_map.target
-    M = shear_map.source
-    a11, a12, a21, a22 = M.gens()
-    assert shear_map.pullback(T.gen("d")) == a11 * a22 - a12 * a21
-
-
 def test_map_arity_checked():
     R = RingCtx(("x",))
     T = RingCtx(("u", "v"))
@@ -61,7 +54,7 @@ def test_image_closure_twisted_cubic():
     f = PolyMap(R, T, (t, t ** 2, t ** 3))
     cl = image_closure(f, whole_space(R))
     want = Ideal(T, [y - x ** 2, z - x ** 3])
-    assert equal_ideals(cl.ideal, want)
+    assert equal_ideals(cl, want)
 
 
 def test_image_closure_respects_domain():
@@ -72,13 +65,13 @@ def test_image_closure_respects_domain():
     dom = vanishing(Ideal(R, [s * t - 1]))
     cl = image_closure(f, dom)
     x, y = T.gens()
-    assert equal_ideals(cl.ideal, Ideal(T, [x * y - 1]))
+    assert equal_ideals(cl, Ideal(T, [x * y - 1]))
 
 
 def test_empty_domain_gives_unit_ideal(shear_map):
     T = shear_map.target
     empty = vanishing(Ideal(shear_map.source, [shear_map.source.one()]))
-    assert image_closure(shear_map, empty).ideal.generators == (T.one(),)
+    assert image_closure(shear_map, empty).generators == (T.one(),)
     # returned as is, not reduced modulo the (unit) stratum
     cons = parametric_image_constraints(shear_map, empty, Ideal(T, [T.one()]))
     assert cons.generators == (T.one(),)

@@ -43,6 +43,16 @@ def test_verdict_any_fail():
     assert [c.id for c in r.failing()] == ["check-2"]
 
 
+def test_verdict_skips():
+    # only skips: nothing was certified
+    assert Report("s", (_check(1, status="skip"),)).verdict == "skip"
+    # a skip next to a pass does not block it, nor does it hide a fail
+    assert Report("s", (_check(1), _check(2, status="skip"))).verdict == "pass"
+    r = Report("s", (_check(1, status="skip"), _check(2, status="fail")))
+    assert r.verdict == "fail"
+    assert "[skip] check-1" in r.to_text()
+
+
 def test_to_text_layout():
     r = Report("s", (_check(1), _check(2, kind=KIND_BY_CRITERION)))
     text = r.to_text()
