@@ -28,6 +28,8 @@ from .action import GroupActionSpec, orbit_closure, same_orbit
 from .parsing import parse_point, parse_poly, parse_polys
 from .report import merge_reports
 from .scenarios import (
+    CensusShadow,
+    get_scenario,
     isotropic_shear_action,
     row_shear_action,
     run_scenario,
@@ -39,6 +41,12 @@ from .scenarios import (
 __all__ = ["main"]
 
 _CANONICAL = ("background", "example1", "example2", "example3")
+
+# Refuse an oracle run estimated above this many point evaluations, roughly
+# ten seconds of enumeration: `oracle example1 --prime 17` estimates 1.5e6
+# and takes under two seconds on a 2-core CPython 3.11 machine, while
+# `oracle background --prime 101` would need about 1e10.
+MAX_ORACLE_WORK = 10**7
 
 
 class CliError(Exception):
@@ -241,14 +249,37 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.verdict == "pass" for r in reports) else 1
 
 
+def _oracle_work(shadows, p: int) -> int:
+    """Upper bound on the points cross_check enumerates at p, counted from
+    arities alone: a census visits points x group elements, at most
+    p^(arity + parameters); an image check enumerates source and target."""
+    work = 0
+    for shadow in shadows:
+        if shadow.primes is not None and p not in shadow.primes:
+            continue  # cross_check skips it without enumerating
+        if isinstance(shadow, CensusShadow):
+            spec = shadow.action
+            work += p ** (spec.space.arity + len(spec.params))
+        else:
+            work += p ** shadow.map.source.arity + p ** shadow.map.target.arity
+    return work
+
+
 def _cmd_oracle(args) -> int:
     from .fforacle import FpConfig, GuardViolation, cross_check
 
-    primes = _oracle_primes(args)
+    configs = [FpConfig(p) for p in _oracle_primes(args)]
+    shadows = get_scenario(args.scenario).shadows
+    work = sum(_oracle_work(shadows, cfg.p) for cfg in configs)
+    if work > MAX_ORACLE_WORK:
+        raise CliError(
+            f"oracle needs about {work:.1e} point evaluations, above the "
+            f"limit of {MAX_ORACLE_WORK:.0e}; use smaller primes"
+        )
     reports = []
-    for p in primes:
+    for cfg in configs:
         try:
-            reports.append(cross_check(args.scenario, FpConfig(p)))
+            reports.append(cross_check(args.scenario, cfg))
         except GuardViolation as exc:
             raise CliError(str(exc)) from None
     merged = (

@@ -1,11 +1,14 @@
 """Buchberger's algorithm and the ideal operations built on it.
 
-The pipeline is deliberately deterministic: pairs are selected by smallest
-lcm in the active order with ties broken by input index, every computed
-basis is interreduced to the unique reduced monic basis and sorted by
-leading monomial, and after every run each S-polynomial of the result is
-checked to reduce to zero (a cheap self-audit that has caught more bugs
-than it costs).
+The pipeline is deliberately deterministic: pairs wait on a heap keyed once
+by the order key of their lcm, so the pair of smallest lcm is taken first
+with ties broken by index; every computed basis is interreduced to the
+unique reduced monic basis and sorted by leading monomial; and after every
+run the result is audited: each S-polynomial is checked to reduce to zero,
+except for pairs with coprime leading monomials, which reduce to zero by
+Buchberger's first criterion, so the audit certifies a Groebner basis all
+the same.  Division takes the largest remaining term from a heap of
+negated order keys (heap-driven division, after Monagan and Pearce).
 
 Derived operations follow the classical elimination recipes: variable
 elimination through a block order, saturation through a fresh inverse
@@ -15,6 +18,7 @@ variable, radical membership through the extra-variable trick of adjoining
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -96,9 +100,20 @@ def _mul_term(p: Polynomial, mono, coeff: Fraction) -> Polynomial:
     )
 
 
+def _negated(key):
+    # order keys are int tuples, nested to one fixed shape per order, so
+    # negating every int reverses the comparison: a min-heap of negated
+    # keys pops the largest monomial first
+    return tuple(-k if k.__class__ is int else _negated(k) for k in key)
+
+
 def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
     """Fully reduce f against basis: no remainder term is divisible by any
-    leading monomial of the basis."""
+    leading monomial of the basis.
+
+    Terms are taken largest first from a heap; a term that cancels is left
+    in the heap and skipped when popped.
+    """
     basis = [b for b in basis]
     for b in basis:
         if b.is_zero():
@@ -109,10 +124,14 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     lms = [b.leading_monomial(order) for b in basis]
     lcs = [b.terms[lm] for b, lm in zip(basis, lms)]
     work = dict(f.terms)
+    heap = [(_negated(key(m)), m) for m in work]
+    heapq.heapify(heap)
     out: dict = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         for i, lm in enumerate(lms):
             if mono_divides(lm, m):
                 shift = mono_div(m, lm)
@@ -121,11 +140,16 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
                     if bm == lm:
                         continue
                     mm = mono_mul(bm, shift)
-                    v = work.get(mm, 0) - factor * bc
-                    if v:
-                        work[mm] = v
+                    old = work.get(mm)
+                    if old is None:
+                        work[mm] = -factor * bc
+                        heapq.heappush(heap, (_negated(key(mm)), mm))
                     else:
-                        work.pop(mm, None)
+                        v = old - factor * bc
+                        if v:
+                            work[mm] = v
+                        else:
+                            del work[mm]
                 break
         else:
             out[m] = c
@@ -152,12 +176,24 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
     if not basis:
         return []
     lms = [g.leading_monomial(order) for g in basis]
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     key = order.key
-    while pending:
-        i, j = min(pending, key=lambda p: (key(mono_lcm(lms[p[0]], lms[p[1]])), p))
+    # each pair is keyed once, as (key(lcm), i, j, lcm): the heap pops the
+    # pair of smallest lcm, ties broken by index; `pending` mirrors the heap
+    # for the chain criterion's membership test
+    heap = []
+    pending = set()
+
+    def add_pairs(k):
+        for m in range(k):
+            lcm = mono_lcm(lms[m], lms[k])
+            heapq.heappush(heap, (key(lcm), m, k, lcm))
+            pending.add((m, k))
+
+    for k in range(len(basis)):
+        add_pairs(k)
+    while heap:
+        _, i, j, lcm_ij = heapq.heappop(heap)
         pending.discard((i, j))
-        lcm_ij = mono_lcm(lms[i], lms[j])
         if lcm_ij == mono_mul(lms[i], lms[j]):
             continue  # coprime leading terms: S-poly reduces to zero
         if _chain_skip(i, j, lcm_ij, lms, pending):
@@ -166,11 +202,9 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
         if h.is_zero():
             continue
         h = h.monic(order)
-        k = len(basis)
         basis.append(h)
         lms.append(h.leading_monomial(order))
-        for m in range(k):
-            pending.add((m, k))
+        add_pairs(len(basis) - 1)
     return basis
 
 
@@ -200,8 +234,14 @@ def _reduced_basis(basis, order):
 
 
 def _assert_fixed_point(basis, order):
+    lms = [b.leading_monomial(order) for b in basis]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
+            # Buchberger's first criterion: an S-polynomial of a pair with
+            # coprime leading monomials always reduces to zero, so basis is
+            # a Groebner basis iff every other pair's S-polynomial does
+            if mono_lcm(lms[i], lms[j]) == mono_mul(lms[i], lms[j]):
+                continue
             s = spolynomial(basis[i], basis[j], order)
             if not normal_form(s, basis, order).is_zero():
                 raise AssertionError(

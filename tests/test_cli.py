@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,22 @@ def test_oracle_bad_prime_exit_2(capsys):
     code, _, err = run(capsys, "oracle", "example1", "--prime", "4")
     assert code == 2
     assert "prime" in err
+
+
+def test_oracle_refuses_unbounded_work(capsys):
+    # background's census at p = 101 is 101^5 ~ 1e10 action evaluations;
+    # the estimate comes from arities, so the refusal is immediate
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "background", "--prime", "101")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: oracle needs about 1.1e+10 point evaluations")
+    # a shadow declared only for p = 3 is skipped, not estimated, at p = 101
+    code, out, _ = run(capsys, "oracle", "example2", "--prime", "101")
+    assert code == 1
+    assert out.rstrip().endswith("verdict: skip")
 
 
 def test_catalog(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dcoset.polyring import GREVLEX, LEX, RingCtx, block_order
 from dcoset.groebner import (
     Ideal,
+    _assert_fixed_point,
     eliminate,
     equal_ideals,
     fresh_var,
@@ -149,6 +150,17 @@ def test_block_order_respects_elimination():
     gb = groebner_basis(I, order)
     free = [g for g in gb if g.leading_monomial(order)[0] == 0]
     assert any(g == x ** 2 - 1 for g in free)
+
+
+def test_fixed_point_audit_rejects_a_non_groebner_basis():
+    R = RingCtx(("x", "y", "z"))
+    x, y, z = R.gens()
+    # x^2 and xy share x, and S = y(x^2 - y) - x(xy - 1) = x - y^2 is
+    # already reduced; z - 1 has coprime leading monomials with both, so
+    # the first criterion skips its two pairs and the shared pair must fail
+    with pytest.raises(AssertionError, match="elements 0 and 1"):
+        _assert_fixed_point((x ** 2 - y, x * y - 1, z - 1), R.order)
+    _assert_fixed_point((x ** 2 - y, z - 1), R.order)
 
 
 # randomized structural properties (a denser version runs in acceptance)

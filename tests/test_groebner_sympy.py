@@ -34,6 +34,59 @@ def _random_ideal(rng, ring):
     return Ideal(ring, gens)
 
 
+def _canon(e, symbols):
+    # Rescale to a fixed monic form so both bases, each monic with respect
+    # to its own order convention, become comparable.
+    return sympy.expand(sympy.monic(e, *symbols) if e.free_symbols else sympy.Integer(1))
+
+
+def _assert_matches_sympy(ring, gens, order_name):
+    symbols = sympy.symbols(ring.vars)
+    ours = groebner_basis(Ideal(ring, gens))
+    theirs = sympy.groebner(
+        [_to_sympy(g, symbols) for g in gens], *symbols, order=order_name
+    )
+    assert {_canon(_to_sympy(g, symbols), symbols) for g in ours} == {
+        _canon(e, symbols) for e in theirs.exprs
+    }
+    assert len(ours) == len(theirs.exprs)
+
+
+def test_cyclic4_grevlex_matches_sympy():
+    # cyclic-4: the cyclic sums of degree 1, 2, 3 and x0*x1*x2*x3 - 1
+    ring = RingCtx(("x0", "x1", "x2", "x3"), GREVLEX)
+    x = ring.gens()
+    gens = []
+    for d in range(1, 4):
+        total = ring.zero()
+        for i in range(4):
+            term = ring.one()
+            for k in range(d):
+                term = term * x[(i + k) % 4]
+            total = total + term
+        gens.append(total)
+    gens.append(x[0] * x[1] * x[2] * x[3] - 1)
+    _assert_matches_sympy(ring, gens, "grevlex")
+
+
+def test_katsura3_lex_matches_sympy():
+    # katsura-3 in u0..u3 with u(-i) = u(i) and u(i) = 0 for i > 3
+    ring = RingCtx(("u0", "u1", "u2", "u3"), LEX)
+    u = ring.gens()
+
+    def at(i):
+        return u[abs(i)] if abs(i) <= 3 else ring.zero()
+
+    gens = []
+    for m in range(3):
+        total = ring.zero()
+        for l in range(-3, 4):
+            total = total + at(l) * at(m - l)
+        gens.append(total - u[m])
+    gens.append(u[0] + 2 * u[1] + 2 * u[2] + 2 * u[3] - 1)
+    _assert_matches_sympy(ring, gens, "lex")
+
+
 @pytest.mark.parametrize("order_name", ["lex", "grevlex"])
 def test_reduced_bases_match_sympy(order_name):
     order = {"lex": LEX, "grevlex": GREVLEX}[order_name]
@@ -53,11 +106,6 @@ def test_reduced_bases_match_sympy(order_name):
             *symbols,
             order=order_name,
         )
-        def canon(e):
-            # Rescale to a fixed monic form so both bases, each monic with
-            # respect to its own order convention, become comparable.
-            return sympy.expand(sympy.monic(e, *symbols) if e.free_symbols else sympy.Integer(1))
-
-        ours_exprs = {canon(_to_sympy(g, symbols)) for g in ours}
-        theirs_exprs = {canon(e) for e in theirs.exprs}
+        ours_exprs = {_canon(_to_sympy(g, symbols), symbols) for g in ours}
+        theirs_exprs = {_canon(e, symbols) for e in theirs.exprs}
         assert ours_exprs == theirs_exprs, f"trial {trial}: {ours_exprs} != {theirs_exprs}"
