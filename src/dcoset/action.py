@@ -144,26 +144,27 @@ def check_invariant(spec: GroupActionSpec, f: Polynomial) -> bool:
     moved = substitute(f, {v: a for v, a in zip(spec.space.vars, spec.action)}, into=big)
     delta = moved - lift(f, big)
     cons = spec.constraint_in_combined()
-    if cons.is_zero_ideal():
-        return delta.is_zero()
     return normal_form(delta, groebner_basis(cons), big.order).is_zero()
 
 
-def orbit_closure(spec: GroupActionSpec, point) -> Ideal:
-    """Ideal of the Zariski closure of the orbit of a rational point.
+def _orbit_graph(spec: GroupActionSpec, start, big: RingCtx) -> Ideal:
+    """The graph of g -> g·start inside ``big``: (x_i - action_i(g, start))
+    plus the group constraints.  ``start`` gives one rational or polynomial
+    of ``big`` per space variable."""
+    assignment = dict(zip(spec.space.vars, start))
+    gens = [
+        big.gen(name) - substitute(a, assignment, into=big)
+        for name, a in zip(spec.space.vars, spec.action)
+    ]
+    gens.extend(lift(g, big) for g in spec.constraint.generators)
+    return Ideal(big, gens)
 
-    Eliminates the group parameters from (x_i - action_i(g, p)) plus the
-    group constraints.
-    """
-    pt = as_point(spec.space, point)
-    big = spec.combined
-    assignment = {v: c for v, c in zip(spec.space.vars, pt.coords)}
-    gens = []
-    for name, a in zip(spec.space.vars, spec.action):
-        moved = substitute(a, assignment, into=big)
-        gens.append(lift(big.gen(name), big) - moved)
-    gens.extend(spec.constraint_in_combined().generators)
-    return eliminate(Ideal(big, gens), set(spec.params), into=spec.space)
+
+def orbit_closure(spec: GroupActionSpec, point) -> Ideal:
+    """Ideal of the Zariski closure of the orbit of a rational point: the
+    group parameters eliminated from the graph of the action at it."""
+    graph = _orbit_graph(spec, as_point(spec.space, point).coords, spec.combined)
+    return eliminate(graph, set(spec.params), into=spec.space)
 
 
 def same_orbit(spec: GroupActionSpec, p, q) -> bool:
@@ -217,13 +218,8 @@ def base_in_all_orbit_closures(spec: GroupActionSpec, base_point) -> bool:
     if clash:
         raise ValueError(f"cannot build symbolic start point, names clash: {sorted(clash)}")
     big = RingCtx(spec.space.vars + spec.params + sym_names)
-    assignment = {v: big.gen(s) for v, s in zip(spec.space.vars, sym_names)}
-    gens = []
-    for name, a in zip(spec.space.vars, spec.action):
-        moved = substitute(lift(a, big), assignment, into=big)
-        gens.append(big.gen(name) - moved)
-    gens.extend(lift(g, big) for g in spec.constraint.generators)
-    closed = eliminate(Ideal(big, gens), set(spec.params))
+    start = [big.gen(s) for s in sym_names]
+    closed = eliminate(_orbit_graph(spec, start, big), set(spec.params))
     # substitute the base point for the space variables; what is left must
     # vanish identically in the symbolic start coordinates
     sub = {v: c for v, c in zip(spec.space.vars, base.coords)}

@@ -28,7 +28,6 @@ from .action import GroupActionSpec, orbit_closure, same_orbit
 from .parsing import parse_point, parse_poly, parse_polys
 from .report import merge_reports
 from .scenarios import (
-    CensusShadow,
     get_scenario,
     isotropic_shear_action,
     row_shear_action,
@@ -49,16 +48,22 @@ _CANONICAL = ("background", "example1", "example2", "example3")
 MAX_ORACLE_WORK = 10**7
 
 
-class CliError(Exception):
-    """Bad command-line input; maps to exit code 2."""
-
-
 def _ring_from(names_arg: str, order_name: str) -> RingCtx:
     names = tuple(n.strip() for n in names_arg.split(",") if n.strip())
     if not names:
-        raise CliError("--ring needs at least one variable name")
+        raise ValueError("--ring needs at least one variable name")
     order = {"lex": LEX, "grevlex": GREVLEX}[order_name]
     return RingCtx(names, order)
+
+
+def _ideal_from(args) -> Ideal:
+    ring = _ring_from(args.ring, args.order)
+    return Ideal(ring, list(parse_polys(args.ideal, ring)))
+
+
+def _optional_ideal(text, ring: RingCtx) -> Ideal:
+    """The ideal of an optional generator list; no list gives (0)."""
+    return Ideal(ring, list(parse_polys(text, ring)) if text else [])
 
 
 def _print_basis(gens) -> None:
@@ -70,9 +75,9 @@ def _print_basis(gens) -> None:
 
 
 def _domain(ring: RingCtx, carrier_arg, excluded_arg) -> ConstructibleSet:
-    carrier = Ideal(ring, list(parse_polys(carrier_arg, ring))) if carrier_arg else Ideal(ring, [])
+    carrier = _optional_ideal(carrier_arg, ring)
     if excluded_arg:
-        return locally_closed(carrier, Ideal(ring, list(parse_polys(excluded_arg, ring))))
+        return locally_closed(carrier, _optional_ideal(excluded_arg, ring))
     if carrier.generators:
         return vanishing(carrier)
     return whole_space(ring)
@@ -87,26 +92,21 @@ _BUILTIN_ACTIONS = {
 
 def _custom_action(args) -> GroupActionSpec:
     if not (args.space and args.params and args.act and args.identity):
-        raise CliError(
+        raise ValueError(
             "custom actions need --space, --params, --act and --identity "
             "(and optionally --constraint)"
         )
     space = _ring_from(args.space, "grevlex")
     params = tuple(n.strip() for n in args.params.split(",") if n.strip())
     if not params:
-        raise CliError("--params needs at least one name")
+        raise ValueError("--params needs at least one name")
     combined = extend_ring(space, params)
     action = parse_polys(args.act, combined)
     if len(action) != space.arity:
-        raise CliError(
+        raise ValueError(
             f"--act must give {space.arity} polynomials, got {len(action)}"
         )
-    param_ring = RingCtx(params)
-    constraint = (
-        Ideal(param_ring, list(parse_polys(args.constraint, param_ring)))
-        if args.constraint
-        else Ideal(param_ring, [])
-    )
+    constraint = _optional_ideal(args.constraint, RingCtx(params))
     identity = dict(zip(params, parse_point(args.identity, len(params))))
     return GroupActionSpec(
         space=space,
@@ -123,7 +123,7 @@ def _resolve_action(args) -> GroupActionSpec:
             return _BUILTIN_ACTIONS[args.action]()
         except KeyError:
             known = ", ".join(_BUILTIN_ACTIONS)
-            raise CliError(f"unknown action {args.action!r}; built-ins: {known}") from None
+            raise ValueError(f"unknown action {args.action!r}; built-ins: {known}") from None
     return _custom_action(args)
 
 
@@ -135,55 +135,39 @@ def _oracle_primes(args) -> tuple:
     try:
         primes = tuple(int(tok) for tok in args.primes.split(",") if tok.strip())
     except ValueError as exc:
-        raise CliError(f"bad prime list {args.primes!r}: {exc}") from None
+        raise ValueError(f"bad prime list {args.primes!r}: {exc}") from None
     if not primes:
-        raise CliError(f"bad prime list {args.primes!r}: no primes given")
+        raise ValueError(f"bad prime list {args.primes!r}: no primes given")
     return primes
 
 
 def _cmd_gb(args) -> int:
-    ring = _ring_from(args.ring, args.order)
-    ideal = Ideal(ring, list(parse_polys(args.ideal, ring)))
-    _print_basis(groebner_basis(ideal))
+    _print_basis(groebner_basis(_ideal_from(args)))
     return 0
 
 
 def _cmd_eliminate(args) -> int:
-    ring = _ring_from(args.ring, args.order)
-    ideal = Ideal(ring, list(parse_polys(args.ideal, ring)))
+    ideal = _ideal_from(args)
     drop = {n.strip() for n in args.drop.split(",") if n.strip()}
     for name in drop:
-        if not ring.has_var(name):
-            raise CliError(f"--drop names unknown variable {name!r}")
-    if drop >= set(ring.vars):
-        raise CliError("--drop would eliminate every variable")
-    result = eliminate(ideal, drop)
-    _print_basis(groebner_basis(result))
+        if not ideal.ring.has_var(name):
+            raise ValueError(f"--drop names unknown variable {name!r}")
+    if drop >= set(ideal.ring.vars):
+        raise ValueError("--drop would eliminate every variable")
+    _print_basis(groebner_basis(eliminate(ideal, drop)))
     return 0
 
 
 def _cmd_member(args) -> int:
-    ring = _ring_from(args.ring, args.order)
-    ideal = Ideal(ring, list(parse_polys(args.ideal, ring)))
-    poly = parse_poly(args.poly, ring)
-    inside = ideal_member(poly, ideal)
-    print("true" if inside else "false")
-    return 0 if inside else 1
-
-
-def _cmd_radmember(args) -> int:
-    ring = _ring_from(args.ring, args.order)
-    ideal = Ideal(ring, list(parse_polys(args.ideal, ring)))
-    poly = parse_poly(args.poly, ring)
-    inside = radical_member(poly, ideal)
+    ideal = _ideal_from(args)
+    inside = args.test(parse_poly(args.poly, ideal.ring), ideal)
     print("true" if inside else "false")
     return 0 if inside else 1
 
 
 def _cmd_saturate(args) -> int:
-    ring = _ring_from(args.ring, args.order)
-    ideal = Ideal(ring, list(parse_polys(args.ideal, ring)))
-    by = parse_poly(args.by, ring)
+    ideal = _ideal_from(args)
+    by = parse_poly(args.by, ideal.ring)
     _print_basis(groebner_basis(saturate(ideal, by)))
     return 0
 
@@ -193,7 +177,7 @@ def _map_from(args):
     target = _ring_from(args.target, args.order)
     coords = parse_polys(args.map, source)
     if len(coords) != target.arity:
-        raise CliError(
+        raise ValueError(
             f"--map must give {target.arity} polynomials, got {len(coords)}"
         )
     return PolyMap(source, target, coords), _domain(source, args.carrier, args.excluded)
@@ -231,7 +215,7 @@ def _cmd_verify(args) -> int:
     elif args.scenario:
         names = (args.scenario,)
     else:
-        raise CliError("verify needs a scenario name or --all")
+        raise ValueError("verify needs a scenario name or --all")
     reports = [run_scenario(name) for name in names]
     if args.json:
         if len(reports) == 1:
@@ -249,44 +233,19 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.verdict == "pass" for r in reports) else 1
 
 
-def _oracle_work(shadows, p: int) -> int:
-    """Upper bound on the points cross_check enumerates at p, counted from
-    arities alone: a census visits points x group elements, at most
-    p^(arity + parameters); an image check enumerates source and target."""
-    work = 0
-    for shadow in shadows:
-        if shadow.primes is not None and p not in shadow.primes:
-            continue  # cross_check skips it without enumerating
-        if isinstance(shadow, CensusShadow):
-            spec = shadow.action
-            work += p ** (spec.space.arity + len(spec.params))
-        else:
-            work += p ** shadow.map.source.arity + p ** shadow.map.target.arity
-    return work
-
-
 def _cmd_oracle(args) -> int:
-    from .fforacle import FpConfig, GuardViolation, cross_check
+    from .fforacle import FpConfig, cross_check, oracle_work
 
     configs = [FpConfig(p) for p in _oracle_primes(args)]
     shadows = get_scenario(args.scenario).shadows
-    work = sum(_oracle_work(shadows, cfg.p) for cfg in configs)
+    work = sum(oracle_work(shadows, cfg.p) for cfg in configs)
     if work > MAX_ORACLE_WORK:
-        raise CliError(
+        raise ValueError(
             f"oracle needs about {work:.1e} point evaluations, above the "
             f"limit of {MAX_ORACLE_WORK:.0e}; use smaller primes"
         )
-    reports = []
-    for cfg in configs:
-        try:
-            reports.append(cross_check(args.scenario, cfg))
-        except GuardViolation as exc:
-            raise CliError(str(exc)) from None
-    merged = (
-        reports[0]
-        if len(reports) == 1
-        else merge_reports(reports[0].scenario, reports)
-    )
+    reports = [cross_check(args.scenario, cfg) for cfg in configs]
+    merged = merge_reports(reports[0].scenario, reports)
     print(merged.to_json() if args.json else merged.to_text())
     return 0 if merged.verdict == "pass" else 1
 
@@ -345,12 +304,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="ideal membership test")
     ring_opts(p)
     p.add_argument("--poly", required=True)
-    p.set_defaults(func=_cmd_member)
+    p.set_defaults(func=_cmd_member, test=ideal_member)
 
     p = sub.add_parser("radmember", help="radical membership test")
     ring_opts(p)
     p.add_argument("--poly", required=True)
-    p.set_defaults(func=_cmd_radmember)
+    p.set_defaults(func=_cmd_member, test=radical_member)
 
     p = sub.add_parser("saturate", help="saturation of an ideal by a polynomial")
     ring_opts(p)
@@ -409,9 +368,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
-        # ValueError covers ParseError, RingMismatchError and every library
-        # rejection of malformed input
+    except ValueError as exc:
+        # ValueError covers bad arguments, ParseError, RingMismatchError,
+        # GuardViolation and every library rejection of malformed input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,8 @@ exhaustive computation over a small prime field: reduce every polynomial
 mod p, enumerate points, and compare image membership or orbit partitions
 against the symbolic prediction.  Scenarios declare which of their claims
 carry such shadows; :func:`cross_check` runs the declared shadows for one
-prime and returns a report.
+prime and returns a report.  Enumeration streams over F_p^n: no point list
+is kept, only the points already placed in an orbit.
 
 Rational coefficients are mapped to F_p via modular inverse of the
 denominator.  A denominator divisible by p has no image, so reduction
@@ -22,7 +23,7 @@ from .polyring import Polynomial
 from .geometry import ConstructibleSet
 from .action import GroupActionSpec
 from .morphism import PolyMap
-from .report import KIND_VERIFIED, CheckResult, Report
+from .report import KIND_BY_REPRESENTATION, KIND_VERIFIED, CheckResult, Report
 from . import scenarios as _scenarios
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
 DEFAULT_PRIMES = (3, 5, 7)
 
 
-class GuardViolation(ArithmeticError):
+class GuardViolation(ArithmeticError, ValueError):
     """A rational coefficient cannot be reduced mod p (denominator in pZ)."""
 
 
@@ -158,11 +159,8 @@ class OrbitCensus:
 def group_elements(spec: GroupActionSpec, p: int) -> tuple:
     """All parameter tuples over F_p satisfying the constraint ideal."""
     checks = [compile_poly(g, p) for g in spec.constraint.generators]
-    out = []
-    for g in enumerate_points(p, len(spec.params)):
-        if all(f(g) == 0 for f in checks):
-            out.append(g)
-    return tuple(out)
+    candidates = enumerate_points(p, len(spec.params))
+    return tuple(g for g in candidates if all(f(g) == 0 for f in checks))
 
 
 def enumerate_orbits(
@@ -172,33 +170,34 @@ def enumerate_orbits(
 ) -> OrbitCensus:
     """Partition the F_p-points of ``domain`` into orbits.
 
-    ``group_elements`` lists all of G(F_p), so the orbit of a point x is
-    {g·x} in one pass over the elements.  The domain must be action-stable;
-    a point moved outside it raises ValueError.  Checking the moves of x
-    alone suffices, since G·y = G·x for every y in the orbit.
+    One streaming pass over F_p^n counts the domain points; each point not
+    yet placed starts an orbit.  ``group_elements`` lists all of G(F_p), so
+    the orbit of x is {g·x} in one pass over the elements.  The domain must
+    be action-stable; an orbit point outside it raises ValueError.  Checking
+    the moves of x alone suffices, since G·y = G·x for every y in the orbit.
     """
     p = cfg.p
     elements = group_elements(spec, p)
     coords = [compile_poly(c, p) for c in spec.action]
     pred = None if domain is None else set_pred_mod_p(domain, p)
-    points = [
-        pt
-        for pt in enumerate_points(p, spec.space.arity)
-        if pred is None or pred(pt)
-    ]
-    point_set = set(points)
 
+    point_count = 0
     seen = set()
     sizes: dict = {}
     orbit_count = 0
     fixed = []
-    for start in points:
+    for start in enumerate_points(p, spec.space.arity):
+        if pred is not None and not pred(start):
+            continue
+        point_count += 1
         if start in seen:
             continue
         orbit = {start}
         for g in elements:
             moved = tuple(c(start + g) for c in coords)
-            if moved not in point_set:
+            if moved in orbit:
+                continue
+            if pred is not None and not pred(moved):
                 raise ValueError(f"action moved {start} outside the domain to {moved}")
             orbit.add(moved)
         seen |= orbit
@@ -209,7 +208,7 @@ def enumerate_orbits(
             fixed.append(start)
     return OrbitCensus(
         p=p,
-        point_count=len(points),
+        point_count=point_count,
         orbit_count=orbit_count,
         sizes=dict(sorted(sizes.items())),
         fixed_points=tuple(sorted(fixed)),
@@ -217,7 +216,29 @@ def enumerate_orbits(
     )
 
 
-def _image_check(shadow, cfg: FpConfig) -> CheckResult:
+def _runs_at(shadow, p: int) -> bool:
+    """Is the shadow declared for p?  Shadows declared for other primes are
+    skipped without enumerating."""
+    return shadow.primes is None or p in shadow.primes
+
+
+def oracle_work(shadows, p: int) -> int:
+    """Upper bound on the points cross_check enumerates at p, counted from
+    arities alone: a census visits points x group elements, at most
+    p^(arity + parameters); an image check enumerates source and target."""
+    work = 0
+    for shadow in shadows:
+        if not _runs_at(shadow, p):
+            continue
+        if isinstance(shadow, _scenarios.CensusShadow):
+            spec = shadow.action
+            work += p ** (spec.space.arity + len(spec.params))
+        else:
+            work += p ** shadow.map.source.arity + p ** shadow.map.target.arity
+    return work
+
+
+def _image_check(shadow, cfg: FpConfig) -> tuple:
     p = cfg.p
     enum = enumerate_image(shadow.map, shadow.domain, cfg)
     image = set(enum.points)
@@ -246,16 +267,10 @@ def _image_check(shadow, cfg: FpConfig) -> CheckResult:
             f"; first mismatch at {q}: enumerated={'in' if e else 'out'}, "
             f"predicted={'in' if pr else 'out'}"
         )
-    return CheckResult(
-        id=f"{shadow.id}-p{p}",
-        status="pass" if agree == total else "fail",
-        kind=KIND_VERIFIED,
-        detail=detail,
-        claim=shadow.claim,
-    )
+    return agree == total, detail
 
 
-def _census_check(shadow, cfg: FpConfig) -> CheckResult:
+def _census_check(shadow, cfg: FpConfig) -> tuple:
     p = cfg.p
     census = enumerate_orbits(shadow.action, cfg, shadow.domain)
     want_points, want_orbits, want_sizes = shadow.expected(p)
@@ -266,18 +281,17 @@ def _census_check(shadow, cfg: FpConfig) -> CheckResult:
         and census.sizes == want_sizes
     )
     fixed_pred = set_pred_mod_p(shadow.fixed_stratum, p)
-    # the declared stratum must be exactly the enumerated fixed points
-    stratum_points = [
-        pt
-        for pt in enumerate_points(p, shadow.action.space.arity)
-        if fixed_pred(pt)
-    ]
     domain_pred = (
         None if shadow.domain is None else set_pred_mod_p(shadow.domain, p)
     )
-    if domain_pred is not None:
-        stratum_points = [pt for pt in stratum_points if domain_pred(pt)]
-    fixed_ok = tuple(sorted(stratum_points)) == census.fixed_points
+    # the declared stratum must be exactly the enumerated fixed points;
+    # both come out in the sorted enumeration order
+    stratum_points = tuple(
+        pt
+        for pt in enumerate_points(p, shadow.action.space.arity)
+        if fixed_pred(pt) and (domain_pred is None or domain_pred(pt))
+    )
+    fixed_ok = stratum_points == census.fixed_points
     partition_ok = (
         sum(size * count for size, count in census.sizes.items())
         == census.point_count
@@ -293,13 +307,7 @@ def _census_check(shadow, cfg: FpConfig) -> CheckResult:
         f"sizes sum to the point count: {partition_ok}; every size divides "
         f"the group order {census.group_order}: {divides_ok}"
     )
-    return CheckResult(
-        id=f"{shadow.id}-p{p}",
-        status="pass" if ok else "fail",
-        kind=KIND_VERIFIED,
-        detail=detail,
-        claim=shadow.claim,
-    )
+    return ok, detail
 
 
 def cross_check(name: str, cfg: FpConfig) -> Report:
@@ -307,26 +315,23 @@ def cross_check(name: str, cfg: FpConfig) -> Report:
     spec = _scenarios.get_scenario(name)
     if not spec.shadows:
         raise ValueError(f"scenario {name!r} declares no finite-field shadows")
+    p = cfg.p
     checks = []
     for shadow in spec.shadows:
-        if shadow.primes is not None and cfg.p not in shadow.primes:
-            checks.append(
-                CheckResult(
-                    id=f"{shadow.id}-p{cfg.p}",
-                    status="skip",
-                    kind="by-representation",
-                    detail=(
-                        f"shadow declared only for primes {shadow.primes}; "
-                        f"skipped at p={cfg.p}"
-                    ),
-                    claim=shadow.claim,
-                )
-            )
-            continue
-        if isinstance(shadow, _scenarios.ImageShadow):
-            checks.append(_image_check(shadow, cfg))
-        elif isinstance(shadow, _scenarios.CensusShadow):
-            checks.append(_census_check(shadow, cfg))
+        if not _runs_at(shadow, p):
+            status, kind = "skip", KIND_BY_REPRESENTATION
+            detail = f"shadow declared only for primes {shadow.primes}; skipped at p={p}"
         else:
-            raise TypeError(f"unknown shadow type {type(shadow).__name__}")
+            if isinstance(shadow, _scenarios.ImageShadow):
+                ok, detail = _image_check(shadow, cfg)
+            elif isinstance(shadow, _scenarios.CensusShadow):
+                ok, detail = _census_check(shadow, cfg)
+            else:
+                raise TypeError(f"unknown shadow type {type(shadow).__name__}")
+            status, kind = ("pass" if ok else "fail"), KIND_VERIFIED
+        checks.append(
+            CheckResult(
+                id=f"{shadow.id}-p{p}", status=status, kind=kind, detail=detail, claim=shadow.claim
+            )
+        )
     return Report(scenario=spec.name, checks=tuple(checks))

@@ -270,10 +270,7 @@ def ideal_member(f: Polynomial, ideal: Ideal, order: MonomialOrder | None = None
     if f.ring.vars != ideal.ring.vars:
         raise ValueError("polynomial and ideal live in different rings")
     order = order or ideal.ring.order
-    basis = groebner_basis(ideal, order)
-    if not basis:
-        return f.is_zero()
-    return normal_form(f, basis, order).is_zero()
+    return normal_form(f, groebner_basis(ideal, order), order).is_zero()
 
 
 def is_unit_ideal(ideal: Ideal, order: MonomialOrder | None = None) -> bool:
@@ -291,17 +288,22 @@ def fresh_var(ring: RingCtx, base: str = "t") -> str:
     return f"{base}_{n}"
 
 
+def _inverting(ideal: Ideal, f: Polynomial) -> Ideal:
+    """ideal + (1 - t*f) in the ring extended by a fresh last variable t."""
+    t = fresh_var(ideal.ring)
+    big = extend_ring(ideal.ring, (t,))
+    gens = [lift(g, big) for g in ideal.generators]
+    gens.append(big.one() - big.gen(t) * lift(f, big))
+    return Ideal(big, gens)
+
+
 def radical_member(f: Polynomial, ideal: Ideal) -> bool:
     """f lies in the radical iff 1 is in ideal + (1 - t*f) for fresh t."""
     if f.ring.vars != ideal.ring.vars:
         raise ValueError("polynomial and ideal live in different rings")
     if f.is_zero():
         return True
-    t = fresh_var(ideal.ring)
-    big = extend_ring(ideal.ring, (t,))
-    gens = [lift(g, big) for g in ideal.generators]
-    gens.append(big.one() - big.gen(t) * lift(f, big))
-    return is_unit_ideal(Ideal(big, gens))
+    return is_unit_ideal(_inverting(ideal, f))
 
 
 def eliminate(ideal: Ideal, drop: Iterable[str], into: RingCtx | None = None) -> Ideal:
@@ -338,11 +340,8 @@ def saturate(ideal: Ideal, g: Polynomial) -> Ideal:
         raise ValueError("cannot saturate by the zero polynomial")
     if g.is_constant():
         return Ideal(ideal.ring, ideal.generators)
-    t = fresh_var(ideal.ring)
-    big = extend_ring(ideal.ring, (t,))
-    gens = [lift(p, big) for p in ideal.generators]
-    gens.append(big.one() - big.gen(t) * lift(g, big))
-    return eliminate(Ideal(big, gens), {t}, into=ideal.ring)
+    inverted = _inverting(ideal, g)
+    return eliminate(inverted, {inverted.ring.vars[-1]}, into=ideal.ring)
 
 
 def equal_ideals(a: Ideal, b: Ideal) -> bool:

@@ -292,10 +292,7 @@ def verify_section(f: PolyMap, domain: ConstructibleSet, spec: SectionSpec) -> b
         for y, coord in zip(f.target.vars, f.coords):
             composed = substitute(coord, section_assignment, into=st_ring)
             delta = composed - st_ring.gen(y)
-            if gb:
-                if not normal_form(delta, gb, st_ring.order).is_zero():
-                    return False
-            elif not delta.is_zero():
+            if not normal_form(delta, gb, st_ring.order).is_zero():
                 return False
     return True
 

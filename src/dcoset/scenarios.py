@@ -28,7 +28,7 @@ a declared encoding).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -46,6 +46,7 @@ from .groebner import (
     equal_ideals,
     groebner_basis,
     ideal_member,
+    ideal_product,
     normal_form,
     radical_member,
 )
@@ -469,16 +470,13 @@ def _shear_census_shadow(core) -> CensusShadow:
 
 def build_background(mutated: bool = False) -> ScenarioSpec:
     core = _shear_core()
-    name = "background-mutated" if mutated else "background"
     return ScenarioSpec(
-        name=name,
+        name="background",
         summary="Row-shear action on 2x2 matrices: invariants, orbit "
         "structure, and the constructible non-open non-closed image of the "
         "invariant map.",
         checks=tuple(_quotient_core_checks(core, mutated)),
         shadows=(_shear_census_shadow(core),),
-        negative_control=mutated,
-        targeted_check="invariants-constant-on-orbits" if mutated else None,
     )
 
 
@@ -614,7 +612,6 @@ def _example1_extra_checks(core):
 
 def build_example1(mutated: bool = False) -> ScenarioSpec:
     core = _shear_core()
-    name = "example1-mutated" if mutated else "example1"
     checks = _quotient_core_checks(core, mutated) + _example1_extra_checks(core)
 
     predicted = core["predicted"]
@@ -632,14 +629,12 @@ def build_example1(mutated: bool = False) -> ScenarioSpec:
         predicted=predicted,
     )
     return ScenarioSpec(
-        name=name,
+        name="example1",
         summary="Double-coset packaging of the row-shear engine: stabilizer "
         "computation, chart transport, and the constructible quotient of "
         "the top-block space.",
         checks=tuple(checks),
         shadows=(image_shadow, _shear_census_shadow(core)),
-        negative_control=mutated,
-        targeted_check="invariants-constant-on-orbits" if mutated else None,
     )
 
 
@@ -648,16 +643,12 @@ def build_example1(mutated: bool = False) -> ScenarioSpec:
 
 
 def build_example2(mutated: bool = False) -> ScenarioSpec:
-    name = "example2-mutated" if mutated else "example2"
-
     # space of 4x2 matrices; rows 1,2 are the top block, rows 3,4 the bottom
     W8 = RingCtx(("w11", "w12", "w21", "w22", "w31", "w32", "w41", "w42"))
     w11, w12, w21, w22, w31, w32, w41, w42 = W8.gens()
     col1 = Ideal(W8, [w11, w21, w31, w41])
     col2 = Ideal(W8, [w12, w22, w32, w42])
-    from .groebner import ideal_product as _iprod
-
-    admissible = locally_closed(Ideal(W8, []), _iprod(col1, col2))
+    admissible = locally_closed(Ideal(W8, []), ideal_product(col1, col2))
 
     top_ring = RingCtx(("x11", "x12", "x21", "x22"))
     x11, x12, x21, x22 = top_ring.gens()
@@ -666,11 +657,11 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
     # good top blocks: both top columns nonzero
     top_col1 = Ideal(top_ring, [x11, x21])
     top_col2 = Ideal(top_ring, [x12, x22])
-    good_tops = locally_closed(Ideal(top_ring, []), _iprod(top_col1, top_col2))
+    good_tops = locally_closed(Ideal(top_ring, []), ideal_product(top_col1, top_col2))
     # the same condition read inside the 8-dim space, bottoms unconstrained
     c1t = Ideal(W8, [w11, w21])
     c2t = Ideal(W8, [w12, w22])
-    good_pairs = locally_closed(Ideal(W8, []), _iprod(c1t, c2t))
+    good_pairs = locally_closed(Ideal(W8, []), ideal_product(c1t, c2t))
 
     # combined group: shear of row 1 by row 2, torus scaling rows 3 and 4
     WC = extend_ring(W8, ("a", "s", "u"))
@@ -874,14 +865,12 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
         primes=(3,),
     )
     return ScenarioSpec(
-        name=name,
+        name="example2",
         summary="Scaling reduction: 4x2 matrices with nonzero columns, "
         "their projection onto top blocks, and the limit point premise for "
         "the scaling factor.",
         checks=checks,
         shadows=(image_shadow,),
-        negative_control=mutated,
-        targeted_check="scaling-limit-point" if mutated else None,
     )
 
 
@@ -890,8 +879,6 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
 
 
 def build_example3(mutated: bool = False) -> ScenarioSpec:
-    name = "example3-mutated" if mutated else "example3"
-
     act = isotropic_shear_action()
     X4 = act.space
     x1, x2, x3, x4 = X4.gens()
@@ -927,30 +914,17 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         )
 
     def run_normal_form():
-        # on x2 != 0, the element a = -x1/x2 sends the point to (0, x2, 0, x4)
+        # on the chart x2 != 0 the element a = -x1/x2, on x4 != 0 the element
+        # a = x3/x4, sends the point to (0, x2, 0, x4); w inverts the chart
         R5 = extend_ring(X4, ("w",))
         r1, r2, r3, r4, rw = R5.gens()
-        mod = Ideal(R5, [lift(cone_poly, R5), rw * r2 - 1])
-        gb = groebner_basis(mod)
-        a_val = -r1 * rw
-        moved1 = r1 + a_val * r2
-        moved3 = r3 - a_val * r4
-        ok_a = (
-            normal_form(moved1, gb, R5.order).is_zero()
-            and normal_form(moved3, gb, R5.order).is_zero()
-        )
-        # symmetric chart x4 != 0 with a = x3/x4
-        mod2 = Ideal(R5, [lift(cone_poly, R5), rw * r4 - 1])
-        gb2 = groebner_basis(mod2)
-        b_val = r3 * rw
-        moved1b = r1 + b_val * r2
-        moved3b = r3 - b_val * r4
-        ok_b = (
-            normal_form(moved1b, gb2, R5.order).is_zero()
-            and normal_form(moved3b, gb2, R5.order).is_zero()
-        )
+        ok = True
+        for unit, a_val in ((r2, -r1 * rw), (r4, r3 * rw)):
+            gb = groebner_basis(Ideal(R5, [lift(cone_poly, R5), rw * unit - 1]))
+            moved = (r1 + a_val * r2, r3 - a_val * r4)
+            ok &= all(normal_form(m, gb, R5.order).is_zero() for m in moved)
         return _ok(
-            ok_a and ok_b,
+            ok,
             "on each unit chart an explicit group element kills x1 and x3 "
             "simultaneously, reaching the normal form (0, x2, 0, x4)",
         )
@@ -1238,14 +1212,12 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         predicted=whole_space(B2),
     )
     return ScenarioSpec(
-        name=name,
+        name="example3",
         summary="Isotropic shear on a quadric cone: projection onto two "
         "invariant coordinates, projective charts gluing to the blown-up "
         "plane, and the collapse of distinct fixed orbits.",
         checks=checks,
         shadows=(image_shadow, census),
-        negative_control=mutated,
-        targeted_check="section-zero-slice" if mutated else None,
     )
 
 
@@ -1253,29 +1225,31 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
 # registry
 
 
+# canonical name -> (builder, the one check its mutant must break); builders
+# use the canonical name, and get_scenario names and marks each mutant
 _BUILDERS = {
-    "background": lambda: build_background(False),
-    "background-mutated": lambda: build_background(True),
-    "example1": lambda: build_example1(False),
-    "example1-mutated": lambda: build_example1(True),
-    "example2": lambda: build_example2(False),
-    "example2-mutated": lambda: build_example2(True),
-    "example3": lambda: build_example3(False),
-    "example3-mutated": lambda: build_example3(True),
+    "background": (build_background, "invariants-constant-on-orbits"),
+    "example1": (build_example1, "invariants-constant-on-orbits"),
+    "example2": (build_example2, "scaling-limit-point"),
+    "example3": (build_example3, "section-zero-slice"),
 }
 
 
 def scenario_names() -> tuple:
-    return tuple(_BUILDERS)
+    return tuple(n for base in _BUILDERS for n in (base, f"{base}-mutated"))
 
 
 def get_scenario(name: str) -> ScenarioSpec:
+    mutated = name.endswith("-mutated")
     try:
-        builder = _BUILDERS[name]
+        builder, target = _BUILDERS[name.removesuffix("-mutated")]
     except KeyError:
-        known = ", ".join(_BUILDERS)
+        known = ", ".join(scenario_names())
         raise ValueError(f"unknown scenario {name!r}; known: {known}") from None
-    return builder()
+    spec = builder(mutated)
+    if not mutated:
+        return spec
+    return replace(spec, name=name, negative_control=True, targeted_check=target)
 
 
 def run_scenario(name: str) -> Report:
@@ -1299,7 +1273,7 @@ def scenario_catalog() -> tuple:
     """Static listing: (name, summary, ((check id, kind, claim), ...),
     negative_control, targeted_check)."""
     out = []
-    for name in _BUILDERS:
+    for name in scenario_names():
         spec = get_scenario(name)
         out.append(
             (

@@ -56,7 +56,7 @@ def _annotations(tree):
 
 
 def _used_names(tree):
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     # quoted annotations such as -> "ConstructibleSet"
     for ann in _annotations(tree):
         for node in ast.walk(ann):
@@ -71,3 +71,24 @@ def test_no_unused_imports(name):
     tree = ast.parse((SRC / f"{name}.py").read_text())
     used = _used_names(tree)
     assert sorted(n for n in _imported_names(tree) if n not in used) == []
+
+
+def _module_level_privates(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_dead_privates(name):
+    """A private module-level name nothing in its module reads is a leftover."""
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    used = _used_names(tree)
+    assert sorted(n for n in _module_level_privates(tree) if n not in used) == []

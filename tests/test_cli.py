@@ -237,6 +237,15 @@ def test_oracle_refuses_unbounded_work(capsys):
     assert out.rstrip().endswith("verdict: skip")
 
 
+def test_huge_exponent_is_refused_at_parse_time(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gb", "--ring", "x", "--ideal", "x^100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: exponent 100000000 at position 3 exceeds the limit of 255\n"
+
+
 def test_catalog(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

@@ -16,8 +16,10 @@ from dcoset.fforacle import (
     enumerate_image,
     enumerate_orbits,
     group_elements,
+    oracle_work,
     set_pred_mod_p,
 )
+from dcoset.scenarios import CensusShadow, get_scenario, scenario_names
 
 
 def test_default_primes():
@@ -52,6 +54,9 @@ def test_guard_violation():
     R = RingCtx(("x",))
     with pytest.raises(GuardViolation):
         compile_poly(Fraction(1, 3) * R.gen("x"), 3)
+    # the CLI reports every ValueError as one `error:` line with exit 2
+    assert issubclass(GuardViolation, ValueError)
+    assert issubclass(GuardViolation, ArithmeticError)
 
 
 def test_set_pred_mod_p():
@@ -147,8 +152,9 @@ def test_unstable_domain_rejected():
     a11 = M.gen("a11")
     # the hyperplane a11 = 0 is not shear-stable
     dom = vanishing(Ideal(M, [a11]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         enumerate_orbits(spec, FpConfig(3), dom)
+    assert str(info.value) == "action moved (0, 0, 1, 0) outside the domain to (1, 0, 1, 0)"
 
 
 def test_cross_check_example1_agreement():
@@ -187,6 +193,8 @@ def test_cross_check_skips_undeclared_prime():
     assert r.verdict == "skip"
     assert [c.status for c in r.checks] == ["skip"]
     assert any("skipped at p=5" in c.detail for c in r.checks)
+    # a skipped shadow costs the CLI's work estimate nothing
+    assert oracle_work(get_scenario("example2").shadows, 5) == 0
 
 
 def test_cross_check_monotone_in_p():
@@ -194,3 +202,20 @@ def test_cross_check_monotone_in_p():
     small = cross_check("background", FpConfig(3))
     large = cross_check("background", FpConfig(5))
     assert small.verdict == large.verdict == "pass"
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_work_estimate_bounds_the_real_work(p):
+    """The CLI's up-front estimate is at least what each shadow enumerates."""
+    cfg = FpConfig(p)
+    for name in scenario_names():
+        for shadow in get_scenario(name).shadows:
+            if shadow.primes is not None and p not in shadow.primes:
+                continue
+            if isinstance(shadow, CensusShadow):
+                census = enumerate_orbits(shadow.action, cfg, shadow.domain)
+                real = census.point_count * census.group_order
+            else:
+                enum = enumerate_image(shadow.map, shadow.domain, cfg)
+                real = enum.source_count + p ** shadow.map.target.arity
+            assert oracle_work((shadow,), p) >= real, (name, shadow.id)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcoset.polyring import RingCtx, format_poly
-from dcoset.parsing import ParseError, parse_point, parse_poly, parse_polys
+from dcoset.parsing import MAX_EXPONENT, ParseError, parse_point, parse_poly, parse_polys
 
 
 @pytest.fixture
@@ -49,6 +49,13 @@ def test_repeated_variables_multiply(ring):
 def test_negative_exponent_rejected(ring):
     with pytest.raises(ParseError, match="negative exponent"):
         parse_poly("x1^-1", ring)
+
+
+def test_exponent_cap(ring):
+    assert MAX_EXPONENT == 255
+    assert parse_poly("x1^255", ring) == ring.gen("x1") ** 255
+    with pytest.raises(ParseError, match="exponent 256 at position 4 exceeds the limit of 255"):
+        parse_poly("x1^256", ring)
 
 
 def test_unknown_variable_rejected(ring):
