@@ -57,6 +57,13 @@ CASES = (
         "--map", "a21, a22, a11*a22 - a12*a21",
         "--point", "0,0,1",
     ],
+    # rings in lex order, the default being grevlex
+    ["saturate", "--ring", "x,y,z", "--order", "lex", "--ideal", "x*y - z^2, x*z - y", "--by", "z"],
+    ["image", "--ring", "t", "--target", "x,y,z", "--order", "lex", "--map", "t, t^2, t^3"],
+    ["fiber", "--ring", "s,t", "--target", "x,y,z", "--order", "lex", "--map", "s, s*t, t", "--point", "2,6,3"],
+    ["member", "--ring", "x,y", "--order", "lex", "--ideal", "x^2 + y^2 - 1, x - y", "--poly", "2*y^2 - 1"],
+    ["radmember", "--ring", "x,y", "--order", "lex", "--ideal", "x^3, y^2 - x", "--poly", "y"],
+    ["eliminate", "--ring", "x,y,z,t", "--order", "lex", "--drop", "t", "--ideal", "x - t, y - t^2, z - t^3"],
     ["gb", "--ring", ",", "--ideal", "x"],
     ["eliminate", "--ring", "x,y", "--ideal", "x - y", "--drop", "x,y"],
     ["orbit", "--space", "x", "--params", "t", "--act", "x, t", "--identity", "1", "--point", "1"],
