@@ -20,7 +20,6 @@ from .polyring import (
     extend_ring,
     format_poly,
     lift,
-    restrict,
     substitute,
 )
 from .groebner import (

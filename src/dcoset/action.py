@@ -28,11 +28,10 @@ from .polyring import (
 from .groebner import (
     Ideal,
     eliminate,
-    groebner_basis,
+    ideal_member,
     ideal_sum,
     is_unit_ideal,
     lift_ideal,
-    normal_form,
     radical_member,
 )
 from .geometry import ConstructibleSet
@@ -97,6 +96,7 @@ class GroupActionSpec:
                 )
         if tuple(self.constraint.ring.vars) != self.params:
             raise ValueError("constraint ideal must live in the parameter ring")
+        object.__setattr__(self, "_constraint_big", lift_ideal(self.constraint, combined))
         ident = {k: as_rational(v) for k, v in self.identity.items()}
         if set(ident) != set(self.params):
             raise ValueError("identity must assign every parameter")
@@ -132,7 +132,8 @@ class GroupActionSpec:
         return RationalPoint(self.space, [evaluate(a, combined_pt) for a in self.action])
 
     def constraint_in_combined(self) -> Ideal:
-        return lift_ideal(self.constraint, self._combined)
+        """Built once, so its Groebner basis is computed once."""
+        return self._constraint_big
 
 
 def check_invariant(spec: GroupActionSpec, f: Polynomial) -> bool:
@@ -143,8 +144,7 @@ def check_invariant(spec: GroupActionSpec, f: Polynomial) -> bool:
     big = spec.combined
     moved = substitute(f, {v: a for v, a in zip(spec.space.vars, spec.action)}, into=big)
     delta = moved - lift(f, big)
-    cons = spec.constraint_in_combined()
-    return normal_form(delta, groebner_basis(cons), big.order).is_zero()
+    return ideal_member(delta, spec.constraint_in_combined())
 
 
 def _orbit_graph(spec: GroupActionSpec, start, big: RingCtx) -> Ideal:

@@ -39,8 +39,6 @@ from .scenarios import (
 
 __all__ = ["main"]
 
-_CANONICAL = ("background", "example1", "example2", "example3")
-
 # Refuse an oracle run estimated above this many point evaluations, roughly
 # ten seconds of enumeration: `oracle example1 --prime 17` estimates 1.5e6
 # and takes under two seconds on a 2-core CPython 3.11 machine, while
@@ -154,7 +152,8 @@ def _cmd_eliminate(args) -> int:
             raise ValueError(f"--drop names unknown variable {name!r}")
     if drop >= set(ideal.ring.vars):
         raise ValueError("--drop would eliminate every variable")
-    _print_basis(groebner_basis(eliminate(ideal, drop)))
+    kept = RingCtx([v for v in ideal.ring.vars if v not in drop], ideal.ring.order)
+    _print_basis(groebner_basis(eliminate(ideal, drop, into=kept)))
     return 0
 
 
@@ -211,7 +210,7 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.all:
-        names = _CANONICAL
+        names = tuple(n for n in scenario_names() if not n.endswith("-mutated"))
     elif args.scenario:
         names = (args.scenario,)
     else:

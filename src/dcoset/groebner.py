@@ -10,6 +10,9 @@ Buchberger's first criterion, so the audit certifies a Groebner basis all
 the same.  Division takes the largest remaining term from a heap of
 negated order keys (heap-driven division, after Monagan and Pearce).
 
+Every comparison uses the order of the ring the polynomials live in; to
+compute under another order, build the ideal over a ring carrying it.
+
 Derived operations follow the classical elimination recipes: variable
 elimination through a block order, saturation through a fresh inverse
 variable, radical membership through the extra-variable trick of adjoining
@@ -23,7 +26,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .polyring import (
-    MonomialOrder,
     Polynomial,
     RingCtx,
     block_order,
@@ -33,7 +35,6 @@ from .polyring import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    restrict,
 )
 
 __all__ = [
@@ -57,7 +58,7 @@ _ONE = Fraction(1)
 
 
 class Ideal:
-    """A finitely generated ideal, with cached reduced bases per order."""
+    """A finitely generated ideal, with its reduced basis cached."""
 
     __slots__ = ("ring", "generators", "_gb")
 
@@ -69,7 +70,7 @@ class Ideal:
             if g.ring.vars != ring.vars:
                 raise ValueError(f"generator {g!r} is not in ring {ring!r}")
             if not g.is_zero():
-                gens.append(g)
+                gens.append(lift(g, ring))
         self.ring = ring
         self.generators = tuple(gens)
         self._gb = {}
@@ -82,12 +83,12 @@ class Ideal:
         return f"Ideal({inside})"
 
 
-def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S(f, g) = (L/lt f)·f - (L/lt g)·g with L = lcm of the leading monomials."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of the zero polynomial is undefined")
-    lf = f.leading_monomial(order)
-    lg = g.leading_monomial(order)
+    lf = f.leading_monomial()
+    lg = g.leading_monomial()
     lcm = mono_lcm(lf, lg)
     a = _mul_term(f, mono_div(lcm, lf), _ONE / f.terms[lf])
     b = _mul_term(g, mono_div(lcm, lg), _ONE / g.terms[lg])
@@ -107,9 +108,9 @@ def _negated(key):
     return tuple(-k if k.__class__ is int else _negated(k) for k in key)
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
+def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Fully reduce f against basis: no remainder term is divisible by any
-    leading monomial of the basis.
+    leading monomial of the basis, which must live in f's ring.
 
     Terms are taken largest first from a heap; a term that cancels is left
     in the heap and skipped when popped.
@@ -118,10 +119,12 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     for b in basis:
         if b.is_zero():
             raise ValueError("reduction basis contains the zero polynomial")
+        if b.ring is not f.ring and b.ring != f.ring:
+            raise ValueError(f"basis element {b!r} is in {b.ring!r}, not in {f.ring!r}")
     if f.is_zero() or not basis:
         return f
-    key = order.key
-    lms = [b.leading_monomial(order) for b in basis]
+    key = f.ring.order.key
+    lms = [b.leading_monomial() for b in basis]
     lcs = [b.terms[lm] for b, lm in zip(basis, lms)]
     work = dict(f.terms)
     heap = [(_negated(key(m)), m) for m in work]
@@ -171,12 +174,12 @@ def _chain_skip(i, j, lcm_ij, lms, pending) -> bool:
     return False
 
 
-def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
+def _buchberger(gens: Sequence[Polynomial]):
+    basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
         return []
-    lms = [g.leading_monomial(order) for g in basis]
-    key = order.key
+    lms = [g.leading_monomial() for g in basis]
+    key = basis[0].ring.order.key
     # each pair is keyed once, as (key(lcm), i, j, lcm): the heap pops the
     # pair of smallest lcm, ties broken by index; `pending` mirrors the heap
     # for the chain criterion's membership test
@@ -198,27 +201,27 @@ def _buchberger(gens: Sequence[Polynomial], order: MonomialOrder):
             continue  # coprime leading terms: S-poly reduces to zero
         if _chain_skip(i, j, lcm_ij, lms, pending):
             continue
-        h = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
+        h = normal_form(spolynomial(basis[i], basis[j]), basis)
         if h.is_zero():
             continue
-        h = h.monic(order)
+        h = h.monic()
         basis.append(h)
-        lms.append(h.leading_monomial(order))
+        lms.append(h.leading_monomial())
         add_pairs(len(basis) - 1)
     return basis
 
 
-def _reduced_basis(basis, order):
+def _reduced_basis(basis):
     if not basis:
         return ()
-    key = order.key
+    key = basis[0].ring.order.key
     # minimal: drop any element whose leading monomial is divisible by
     # another kept one; ascending scan keeps the smallest representatives
-    ordered = sorted(range(len(basis)), key=lambda i: (key(basis[i].leading_monomial(order)), i))
+    ordered = sorted(range(len(basis)), key=lambda i: (key(basis[i].leading_monomial()), i))
     kept = []
     kept_lms = []
     for i in ordered:
-        lm = basis[i].leading_monomial(order)
+        lm = basis[i].leading_monomial()
         if any(mono_divides(k, lm) for k in kept_lms):
             continue
         kept.append(basis[i])
@@ -228,13 +231,13 @@ def _reduced_basis(basis, order):
     for i in range(len(kept)):
         others = kept[:i] + kept[i + 1 :]
         if others:
-            kept[i] = normal_form(kept[i], others, order).monic(order)
-    kept.sort(key=lambda g: key(g.leading_monomial(order)), reverse=True)
+            kept[i] = normal_form(kept[i], others).monic()
+    kept.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
     return tuple(kept)
 
 
-def _assert_fixed_point(basis, order):
-    lms = [b.leading_monomial(order) for b in basis]
+def _assert_fixed_point(basis):
+    lms = [b.leading_monomial() for b in basis]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             # Buchberger's first criterion: an S-polynomial of a pair with
@@ -242,39 +245,37 @@ def _assert_fixed_point(basis, order):
             # a Groebner basis iff every other pair's S-polynomial does
             if mono_lcm(lms[i], lms[j]) == mono_mul(lms[i], lms[j]):
                 continue
-            s = spolynomial(basis[i], basis[j], order)
-            if not normal_form(s, basis, order).is_zero():
+            s = spolynomial(basis[i], basis[j])
+            if not normal_form(s, basis).is_zero():
                 raise AssertionError(
                     f"S-polynomial of basis elements {i} and {j} does not reduce to zero"
                 )
 
 
-def groebner_basis(ideal: Ideal, order: MonomialOrder | None = None):
-    """Reduced monic Groebner basis as a tuple, cached per order.
+def groebner_basis(ideal: Ideal):
+    """Reduced monic Groebner basis in the ring's order, computed once.
 
     The zero ideal yields the empty tuple; the unit ideal yields (1,).
     Permuting the generators gives the identical tuple.
     """
-    order = order or ideal.ring.order
-    tag = order.tag()
+    tag = ideal.ring.order.tag()
     cached = ideal._gb.get(tag)
     if cached is not None:
         return cached
-    basis = _reduced_basis(_buchberger(ideal.generators, order), order)
-    _assert_fixed_point(basis, order)
+    basis = _reduced_basis(_buchberger(ideal.generators))
+    _assert_fixed_point(basis)
     ideal._gb[tag] = basis
     return basis
 
 
-def ideal_member(f: Polynomial, ideal: Ideal, order: MonomialOrder | None = None) -> bool:
+def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
     if f.ring.vars != ideal.ring.vars:
         raise ValueError("polynomial and ideal live in different rings")
-    order = order or ideal.ring.order
-    return normal_form(f, groebner_basis(ideal, order), order).is_zero()
+    return normal_form(lift(f, ideal.ring), groebner_basis(ideal)).is_zero()
 
 
-def is_unit_ideal(ideal: Ideal, order: MonomialOrder | None = None) -> bool:
-    basis = groebner_basis(ideal, order)
+def is_unit_ideal(ideal: Ideal) -> bool:
+    basis = groebner_basis(ideal)
     return len(basis) == 1 and basis[0].is_constant()
 
 
@@ -321,14 +322,14 @@ def eliminate(ideal: Ideal, drop: Iterable[str], into: RingCtx | None = None) ->
         )
     small = into or RingCtx(kept_names)
     if not drop:
-        return Ideal(small, [restrict(g, small) for g in ideal.generators])
+        return Ideal(small, [lift(g, small) for g in ideal.generators])
     order = block_order(ideal.ring, drop)
-    basis = groebner_basis(ideal, order)
+    basis = groebner_basis(Ideal(RingCtx(ideal.ring.vars, order), ideal.generators))
     drop_idx = order.elim_idx
     kept = []
     for g in basis:
         if all(all(m[i] == 0 for i in drop_idx) for m in g.terms):
-            kept.append(restrict(g, small))
+            kept.append(lift(g, small))
     return Ideal(small, kept)
 
 

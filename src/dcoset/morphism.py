@@ -33,6 +33,7 @@ from .groebner import (
     Ideal,
     eliminate,
     groebner_basis,
+    ideal_member,
     ideal_sum,
     lift_ideal,
     normal_form,
@@ -154,7 +155,7 @@ def parametric_image_constraints(f: PolyMap, domain: ConstructibleSet, stratum: 
         gb = groebner_basis(stratum)
         reduced = []
         for g in result.generators:
-            h = normal_form(g, gb, stratum.ring.order)
+            h = normal_form(lift(g, stratum.ring), gb)
             if not h.is_zero():
                 reduced.append(h)
         result = Ideal(f.target, reduced)
@@ -263,14 +264,13 @@ def verify_section(f: PolyMap, domain: ConstructibleSet, spec: SectionSpec) -> b
         if piece.is_empty():
             continue
         carrier_plus = ideal_sum(piece.carrier, witness_ideal)
-        gb = groebner_basis(carrier_plus)
         hit = False
         for dpiece in domain.pieces:
             pulled = [
                 substitute(g, section_assignment, into=st_ring)
                 for g in dpiece.carrier.generators
             ]
-            if any(not normal_form(p, gb, st_ring.order).is_zero() for p in pulled):
+            if not all(ideal_member(p, carrier_plus) for p in pulled):
                 continue
             if dpiece.excluded is not None:
                 bad_gens = [
@@ -292,7 +292,7 @@ def verify_section(f: PolyMap, domain: ConstructibleSet, spec: SectionSpec) -> b
         for y, coord in zip(f.target.vars, f.coords):
             composed = substitute(coord, section_assignment, into=st_ring)
             delta = composed - st_ring.gen(y)
-            if not normal_form(delta, gb, st_ring.order).is_zero():
+            if not ideal_member(delta, carrier_plus):
                 return False
     return True
 

@@ -10,10 +10,11 @@ Grammar (no implicit multiplication, whitespace ignored):
     sign   := '+' | '-'
 
 Examples: ``x1*x4 + x2*x3``, ``3/2*a^2 - 1``, ``-d*w``.  Exponents must
-be nonnegative: ``x^-1`` is rejected with a dedicated message, and so is
-an exponent above :data:`MAX_EXPONENT`, before the power is built.  Errors
-carry 1-based positions.  The printer in :mod:`.polyring` emits text this
-parser accepts, so reports round-trip.
+be nonnegative: ``x^-1`` is rejected with a dedicated message, and so is a
+term whose exponent in some variable exceeds :data:`MAX_EXPONENT`, such as
+``x^256`` or ``x^200*x^56``, before the term is built.  Errors carry
+1-based positions.  The printer in :mod:`.polyring` emits text this parser
+accepts, so reports round-trip.
 """
 
 from __future__ import annotations
@@ -112,17 +113,18 @@ class _Parser:
 
     def term(self) -> Polynomial:
         kind, _, _ = self.peek()
+        exps = [0] * self.ring.arity
+        coeff = 1
         if kind == "int":
-            value = self.coeff()
-            poly = self.ring.const(value)
+            coeff = self.coeff()
         elif kind == "name":
-            poly = self.factor()
+            self.factor(exps)
         else:
             self.fail("expected a coefficient or a variable")
         while self.peek()[0] == "*":
             self.advance()
-            poly = poly * self.factor()
-        return poly
+            self.factor(exps)
+        return self.ring.monomial(exps, coeff)
 
     def coeff(self) -> Fraction:
         kind, value, _ = self.peek()
@@ -141,7 +143,8 @@ class _Parser:
             return Fraction(num, int(dvalue))
         return Fraction(num)
 
-    def factor(self) -> Polynomial:
+    def factor(self, exps: list) -> None:
+        """Multiply the term's exponent vector by one `var ('^' nat)?`."""
         kind, name, pos = self.peek()
         if kind != "name":
             self.fail("expected a variable")
@@ -151,20 +154,23 @@ class _Parser:
                 f"ring variables are {', '.join(self.ring.vars)}"
             )
         self.advance()
-        if self.peek()[0] != "^":
-            return self.ring.gen(name)
-        self.advance()
-        kind, value, pos = self.peek()
-        if kind == "-":
-            raise ParseError(f"negative exponent at position {pos}")
-        if kind != "int":
-            self.fail("expected a nonnegative integer exponent")
-        if int(value) > MAX_EXPONENT:
+        power = 1
+        if self.peek()[0] == "^":
+            self.advance()
+            kind, value, pos = self.peek()
+            if kind == "-":
+                raise ParseError(f"negative exponent at position {pos}")
+            if kind != "int":
+                self.fail("expected a nonnegative integer exponent")
+            self.advance()
+            power = int(value)
+        # the cap is on the term's exponent, so x^200*x^56 fails like x^256
+        i = self.ring.index(name)
+        exps[i] += power
+        if exps[i] > MAX_EXPONENT:
             raise ParseError(
-                f"exponent {value} at position {pos} exceeds the limit of {MAX_EXPONENT}"
+                f"exponent {exps[i]} at position {pos} exceeds the limit of {MAX_EXPONENT}"
             )
-        self.advance()
-        return self.ring.gen(name) ** int(value)
 
 
 def parse_poly(text: str, ring: RingCtx) -> Polynomial:

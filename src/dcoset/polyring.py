@@ -5,10 +5,11 @@ coefficients, attached to a `RingCtx` that fixes the variable names and a
 monomial order.  All arithmetic is exact; nothing in this module ever touches
 floating point.
 
-Monomial orders are exposed as sort-key functions on exponent tuples, so
-`max(terms, key=order.key)` picks the leading monomial and sorting a term
-list gives a deterministic display order.  Three orders are provided: `LEX`,
-`GREVLEX`, and block orders built with `block_order` for elimination.
+Each ring carries one order, the only one its polynomials are compared
+under; `lift` moves a polynomial into a ring with another.  Orders are
+sort-key functions on exponent tuples, so `max(terms, key=order.key)` picks
+the leading monomial.  Three orders are provided: `LEX`, `GREVLEX`, and
+block orders built with `block_order` for elimination.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "evaluate",
     "extend_ring",
     "lift",
-    "restrict",
     "format_poly",
 ]
 
@@ -282,19 +282,19 @@ class RingCtx:
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("ring", "terms", "_lm_cache")
+    __slots__ = ("ring", "terms", "_lm")
 
     def __init__(self, ring: RingCtx, terms: Mapping[Monomial, Fraction]):
         self.ring = ring
         self.terms = dict(terms)
-        self._lm_cache = {}
+        self._lm = None
 
     @classmethod
     def _new(cls, ring, terms):
         p = cls.__new__(cls)
         p.ring = ring
         p.terms = terms
-        p._lm_cache = {}
+        p._lm = None
         return p
 
     # -- predicates and accessors
@@ -327,32 +327,30 @@ class Polynomial:
                     seen[i] = True
         return tuple(v for v, s in zip(self.ring.vars, seen) if s)
 
-    def leading_monomial(self, order: MonomialOrder | None = None) -> Monomial:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading monomial")
-        order = order or self.ring.order
-        tag = order.tag()
-        lm = self._lm_cache.get(tag)
+    def leading_monomial(self) -> Monomial:
+        """Largest monomial under the ring's order, computed once."""
+        lm = self._lm
         if lm is None:
-            lm = max(self.terms, key=order.key)
-            self._lm_cache[tag] = lm
+            if not self.terms:
+                raise ValueError("the zero polynomial has no leading monomial")
+            lm = self._lm = max(self.terms, key=self.ring.order.key)
         return lm
 
-    def leading_coefficient(self, order: MonomialOrder | None = None) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
+    def leading_coefficient(self) -> Fraction:
+        return self.terms[self.leading_monomial()]
 
-    def monic(self, order: MonomialOrder | None = None) -> "Polynomial":
+    def monic(self) -> "Polynomial":
         if not self.terms:
             raise ValueError("cannot normalize the zero polynomial")
-        lc = self.leading_coefficient(order)
+        lc = self.leading_coefficient()
         if lc == 1:
             return self
         inv = _ONE / lc
         return Polynomial._new(self.ring, {m: c * inv for m, c in self.terms.items()})
 
-    def sorted_terms(self, order: MonomialOrder | None = None, reverse: bool = True):
-        order = order or self.ring.order
-        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=reverse)
+    def sorted_terms(self):
+        key = self.ring.order.key
+        return sorted(self.terms.items(), key=lambda mc: key(mc[0]), reverse=True)
 
     # -- arithmetic
 
@@ -581,47 +579,37 @@ def substitute(p: Polynomial, assignment: Mapping[str, object], into: RingCtx | 
 # moving polynomials between rings
 
 
-def extend_ring(ring: RingCtx, new_vars: Iterable[str], order: MonomialOrder | None = None) -> RingCtx:
-    """Ring with `new_vars` appended after the existing variables."""
+def extend_ring(ring: RingCtx, new_vars: Iterable[str]) -> RingCtx:
+    """Grevlex ring with `new_vars` appended after the existing variables."""
     extra = tuple(new_vars)
     clash = set(extra) & set(ring.vars)
     if clash:
         raise ValueError(f"variables already present: {sorted(clash)}")
-    return RingCtx(ring.vars + extra, order or GREVLEX)
+    return RingCtx(ring.vars + extra)
 
 
-def lift(p: Polynomial, big: RingCtx) -> Polynomial:
-    """Reinterpret p inside a ring containing all of p's variables, by name."""
-    idx = [big.index(v) for v in p.ring.vars]
+def lift(p: Polynomial, ring: RingCtx) -> Polynomial:
+    """Reinterpret p inside `ring`, mapping variables by name; the target
+    must have every variable p uses and may carry another order."""
+    if p.ring is ring:
+        return p
+    if p.ring.vars == ring.vars:
+        return Polynomial._new(ring, p.terms)
+    pos = [ring._index.get(v) for v in p.ring.vars]
     terms = {}
     for m, c in p.terms.items():
-        vec = [0] * big.arity
-        for j, e in zip(idx, m):
-            if e:
-                vec[j] = e
-        terms[tuple(vec)] = c
-    return Polynomial._new(big, terms)
-
-
-def restrict(p: Polynomial, small: RingCtx) -> Polynomial:
-    """Reinterpret p inside a subring; p must only use the subring's variables."""
-    pos = {}
-    for j, v in enumerate(p.ring.vars):
-        pos[j] = small._index.get(v)
-    terms = {}
-    for m, c in p.terms.items():
-        vec = [0] * small.arity
+        vec = [0] * ring.arity
         for j, e in enumerate(m):
             if not e:
                 continue
             i = pos[j]
             if i is None:
                 raise ValueError(
-                    f"{p.ring.vars[j]!r} appears in the polynomial but not in {small!r}"
+                    f"{p.ring.vars[j]!r} appears in the polynomial but not in {ring!r}"
                 )
             vec[i] = e
         terms[tuple(vec)] = c
-    return Polynomial._new(small, terms)
+    return Polynomial._new(ring, terms)
 
 
 # ---------------------------------------------------------------------------

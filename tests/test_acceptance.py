@@ -224,8 +224,8 @@ def test_criterion_4_random_groebner_sanity_under_60s():
         gb = groebner_basis(ideal)
         for i in range(len(gb)):
             for j in range(i + 1, len(gb)):
-                s = spolynomial(gb[i], gb[j], ring.order)
-                assert normal_form(s, gb, ring.order).is_zero()
+                s = spolynomial(gb[i], gb[j])
+                assert normal_form(s, gb).is_zero()
         shuffled = list(gens)
         rng.shuffle(shuffled)
         assert groebner_basis(Ideal(ring, shuffled)) == gb

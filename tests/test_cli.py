@@ -56,6 +56,21 @@ def test_eliminate(capsys):
     assert out.strip() == "y^2 - 1/2"
 
 
+def test_eliminate_keeps_the_chosen_order(capsys):
+    # the kept ring has the order given on the command line, so the printed
+    # basis is already the reduced lex basis of the eliminated ideal
+    code, out, _ = run(
+        capsys, "eliminate", "--ring", "x,y,z,t", "--order", "lex",
+        "--drop", "t", "--ideal", "x - t, y - t^2, z - t^3",
+    )
+    assert code == 0
+    basis = out.splitlines()
+    assert len(basis) == 4
+    code, again, _ = run(capsys, "gb", "--ring", "x,y,z", "--order", "lex", "--ideal", ", ".join(basis))
+    assert code == 0
+    assert again == out
+
+
 def test_saturate(capsys):
     code, out, _ = run(capsys, "saturate", "--ring", "x,y", "--ideal", "x*y", "--by", "x")
     assert code == 0
@@ -244,6 +259,18 @@ def test_huge_exponent_is_refused_at_parse_time(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: exponent 100000000 at position 3 exceeds the limit of 255\n"
+
+
+def test_exponent_cap_holds_across_a_product(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "radmember", "--ring", "x,y",
+        "--ideal", "x^255*x^255*x^255*x^255 - y", "--poly", "x - 1",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: exponent 510 at position 9 exceeds the limit of 255\n"
 
 
 def test_catalog(capsys):

@@ -58,6 +58,14 @@ def test_exponent_cap(ring):
         parse_poly("x1^256", ring)
 
 
+def test_exponent_cap_counts_the_whole_term():
+    R = RingCtx(("x", "y"))
+    x, y = R.gens()
+    assert parse_poly("x^200*y*x^55", R) == x ** 255 * y
+    with pytest.raises(ParseError, match="exponent 256 at position 9 exceeds the limit of 255"):
+        parse_poly("x^200*x^56", R)
+
+
 def test_unknown_variable_rejected(ring):
     with pytest.raises(ParseError, match="unknown variable 'y'"):
         parse_poly("y + 1", ring)

@@ -15,7 +15,6 @@ from dcoset.polyring import (
     extend_ring,
     format_poly,
     lift,
-    restrict,
     substitute,
 )
 
@@ -78,8 +77,8 @@ def test_lex_vs_grevlex_leading_monomial():
     x, y, z = R.gens()
     p = x * y * z + x ** 2
     # lex prefers the pure power of the first variable, grevlex the cubic
-    assert p.leading_monomial(LEX) == (2, 0, 0)
-    assert p.leading_monomial(GREVLEX) == (1, 1, 1)
+    assert lift(p, RingCtx(R.vars, LEX)).leading_monomial() == (2, 0, 0)
+    assert lift(p, RingCtx(R.vars, GREVLEX)).leading_monomial() == (1, 1, 1)
 
 
 def test_grevlex_tie_break():
@@ -130,9 +129,22 @@ def test_lift_and_restrict(xy):
     p = x * y + 2
     up = lift(p, big)
     assert up.ring is big
-    assert restrict(up, xy) == p
+    assert lift(up, xy) == p
     with pytest.raises(ValueError):
-        restrict(big.gen("z"), xy)
+        lift(big.gen("z"), xy)
+
+
+def test_lift_maps_variables_by_name():
+    xyz = RingCtx(("x", "y", "z"))
+    x, y, z = xyz.gens()
+    yx = RingCtx(("y", "x"), LEX)
+    # z is unused, so a ring without it can take the polynomial
+    down = lift(x * y ** 2 + x ** 2, yx)
+    assert down.ring is yx
+    assert down.terms == {(2, 1): 1, (0, 2): 1}
+    assert down.leading_monomial() == (2, 1)
+    with pytest.raises(ValueError, match="'z' appears in the polynomial"):
+        lift(x + z, yx)
 
 
 def test_format_examples(xy):
@@ -201,9 +213,11 @@ def test_leading_monomial_is_multiplicative(p, q):
     if p.is_zero() or q.is_zero():
         return
     for order in (LEX, GREVLEX):
-        lm = (p * q).leading_monomial(order)
+        ring = RingCtx(p.ring.vars, order)
+        p, q = lift(p, ring), lift(q, ring)
+        lm = (p * q).leading_monomial()
         combined = tuple(
             a + b
-            for a, b in zip(p.leading_monomial(order), q.leading_monomial(order))
+            for a, b in zip(p.leading_monomial(), q.leading_monomial())
         )
         assert lm == combined
