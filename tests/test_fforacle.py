@@ -1,4 +1,7 @@
+import functools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +222,44 @@ def test_work_estimate_bounds_the_real_work(p):
                 enum = enumerate_image(shadow.map, shadow.domain, cfg)
                 real = enum.source_count + p ** shadow.map.target.arity
             assert oracle_work((shadow,), p) >= real, (name, shadow.id)
+
+
+# Golden oracle reports: cross_check(name, FpConfig(p)).to_json() must stay
+# byte-identical.  Rewrite the file after an intended output change with::
+#
+#     PYTHONPATH=src python tests/test_fforacle.py
+REPORTS = Path(__file__).with_name("oracle_reports.json")
+_GOLDEN_SCENARIOS = tuple(
+    name + suffix
+    for suffix in ("", "-mutated")
+    for name in ("background", "example1", "example3")
+)
+_GOLDEN_PRIMES = (3, 5, 7, 11)
+
+
+def _golden_key(name, p):
+    return f"{name} p={p}"
+
+
+@functools.cache
+def _golden():
+    return json.loads(REPORTS.read_text())
+
+
+@pytest.mark.parametrize("p", _GOLDEN_PRIMES)
+@pytest.mark.parametrize("name", _GOLDEN_SCENARIOS)
+def test_cross_check_report_is_unchanged(name, p):
+    recorded = _golden()[_golden_key(name, p)]
+    assert cross_check(name, FpConfig(p)).to_json() == json.dumps(
+        recorded, indent=2, sort_keys=True
+    )
+
+
+if __name__ == "__main__":
+    records = {
+        _golden_key(name, p): cross_check(name, FpConfig(p)).to_dict()
+        for name in _GOLDEN_SCENARIOS
+        for p in _GOLDEN_PRIMES
+    }
+    REPORTS.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(records)} reports to {REPORTS.name}")

@@ -40,6 +40,11 @@ CASES = (
     ["oracle", "example1-mutated", "--prime", "3"],
     ["oracle", "background", "--prime", "101"],
     ["oracle", "background", "--prime", "4"],
+    # larger primes, and the mismatch witness beyond p = 3
+    ["oracle", "background", "--primes", "7,11"],
+    ["oracle", "example1", "--prime", "11", "--json"],
+    ["oracle", "example3", "--prime", "13"],
+    ["oracle", "example1-mutated", "--primes", "7,11"],
     ["orbit", "--action", "shear-mat2", "--point", "1,2,0,1"],
     ["orbit", "--action", "scale-mat2", "--point", "1,0,0,1"],
     ["orbit", "--action", "isotropic-shear", "--point", "1,0,1,0"],
