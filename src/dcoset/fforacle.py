@@ -11,6 +11,15 @@ is kept, only the points already placed in an orbit.
 Rational coefficients are mapped to F_p via modular inverse of the
 denominator.  A denominator divisible by p has no image, so reduction
 raises :class:`GuardViolation` rather than produce a wrong answer.
+
+Evaluators are compiled, not interpreted: each polynomial becomes Python
+source such as ``3*x[0]*x[1]**2+4*x[2]``, and one ``lambda x: ...`` per
+polynomial, coordinate map or set predicate is built with ``eval``.  This
+is safe because the source is generated here from the reduced coefficients
+(ints below p), the variable indices and the exponents (ints), joined by
+``*``, ``+``, ``%``, comparisons and ``and``/``or``/``not``; no text from
+the caller reaches it, and it is evaluated without builtins.  Arithmetic
+stays in exact Python ints, reduced mod p once per polynomial.
 """
 
 from __future__ import annotations
@@ -69,8 +78,17 @@ class FpConfig:
             raise ValueError(f"p must be prime, got {self.p}")
 
 
-def compile_poly(poly: Polynomial, p: int) -> Callable:
-    """Return an evaluator tuple-of-ints -> int for ``poly`` mod p."""
+def _join(parts: list, op: str) -> str:
+    # CPython's compiler recurses once per binary operator, so a flat chain
+    # of a few thousand terms overflows it; chunking keeps nesting shallow
+    while len(parts) > 64:
+        parts = [f"({op.join(parts[i:i + 64])})" for i in range(0, len(parts), 64)]
+    return op.join(parts)
+
+
+def _poly_source(poly: Polynomial, p: int) -> str:
+    """Source of ``poly`` with coefficients reduced mod p, over a point ``x``,
+    e.g. ``3*x[0]*x[1]**2+4*x[2]``: made only of ints and indices."""
     terms = []
     for exps, coeff in poly.terms.items():
         den = coeff.denominator % p
@@ -78,44 +96,45 @@ def compile_poly(poly: Polynomial, p: int) -> Callable:
             raise GuardViolation(
                 f"coefficient {coeff} has denominator divisible by {p}"
             )
-        c = (coeff.numerator % p) * pow(den, p - 2, p) % p
+        c = coeff.numerator * pow(den, -1, p) % p
         if c:
-            terms.append((c, exps))
+            factors = [f"x[{i}]**{e}" if e > 1 else f"x[{i}]" for i, e in enumerate(exps) if e]
+            if c != 1 or not factors:
+                factors.insert(0, str(c))
+            terms.append(_join(factors, "*"))
+    return _join(terms, "+") or "0"
 
-    def run(point) -> int:
-        total = 0
-        for c, exps in terms:
-            v = c
-            for x, e in zip(point, exps):
-                if e:
-                    v = v * pow(x, e, p) % p
-            total += v
-        return total % p
 
-    return run
+def _compile(body: str) -> Callable:
+    return eval(f"lambda x: {body}", {"__builtins__": {}})
+
+
+def compile_poly(poly: Polynomial, p: int) -> Callable:
+    """Return an evaluator tuple-of-ints -> int for ``poly`` mod p."""
+    return _compile(f"({_poly_source(poly, p)}) % {p}")
+
+
+def _compile_map(polys, p: int) -> Callable:
+    """Evaluator tuple-of-ints -> tuple of the values of ``polys`` mod p."""
+    coords = "".join(f"({_poly_source(f, p)}) % {p}, " for f in polys)
+    return _compile(f"({coords})")
+
+
+def _vanish_source(gens, p: int) -> str:
+    return " and ".join(f"({_poly_source(g, p)}) % {p} == 0" for g in gens) or "True"
 
 
 def set_pred_mod_p(s: ConstructibleSet, p: int) -> Callable:
-    """Membership predicate for the F_p-points of a constructible set."""
-    compiled = []
+    """Membership predicate for the F_p-points of a constructible set: a
+    point lies in V(I) minus V(J) when every generator of I vanishes there
+    and some generator of J does not."""
+    pieces = []
     for piece in s.pieces:
-        carrier = [compile_poly(g, p) for g in piece.carrier.generators]
-        if piece.excluded is None:
-            excluded = None
-        else:
-            excluded = [compile_poly(g, p) for g in piece.excluded.generators]
-        compiled.append((carrier, excluded))
-
-    def member(point) -> bool:
-        for carrier, excluded in compiled:
-            if any(f(point) for f in carrier):
-                continue
-            if excluded is not None and not any(f(point) for f in excluded):
-                continue
-            return True
-        return False
-
-    return member
+        clause = _vanish_source(piece.carrier.generators, p)
+        if piece.excluded is not None:
+            clause += f" and not ({_vanish_source(piece.excluded.generators, p)})"
+        pieces.append(f"({clause})")
+    return _compile(" or ".join(pieces) or "False")
 
 
 def enumerate_points(p: int, arity: int):
@@ -134,15 +153,15 @@ def enumerate_image(
 ) -> ImageEnumeration:
     """Exhaustively apply ``f`` to the F_p-points of ``domain``."""
     p = cfg.p
-    coords = [compile_poly(c, p) for c in f.coords]
-    pred = None if domain is None else set_pred_mod_p(domain, p)
+    image = _compile_map(f.coords, p)
+    points = enumerate_points(p, f.source.arity)
+    if domain is not None:
+        points = filter(set_pred_mod_p(domain, p), points)
     hit = set()
     n_source = 0
-    for pt in enumerate_points(p, f.source.arity):
-        if pred is not None and not pred(pt):
-            continue
+    for pt in points:
         n_source += 1
-        hit.add(tuple(c(pt) for c in coords))
+        hit.add(image(pt))
     return ImageEnumeration(p=p, source_count=n_source, points=tuple(sorted(hit)))
 
 
@@ -158,9 +177,8 @@ class OrbitCensus:
 
 def group_elements(spec: GroupActionSpec, p: int) -> tuple:
     """All parameter tuples over F_p satisfying the constraint ideal."""
-    checks = [compile_poly(g, p) for g in spec.constraint.generators]
-    candidates = enumerate_points(p, len(spec.params))
-    return tuple(g for g in candidates if all(f(g) == 0 for f in checks))
+    in_group = _compile(_vanish_source(spec.constraint.generators, p))
+    return tuple(filter(in_group, enumerate_points(p, len(spec.params))))
 
 
 def enumerate_orbits(
@@ -176,25 +194,35 @@ def enumerate_orbits(
     be action-stable; an orbit point outside it raises ValueError.  Checking
     the moves of x alone suffices, since G·y = G·x for every y in the orbit.
     """
-    p = cfg.p
+    return _census(spec, cfg.p, domain, ConstructibleSet(spec.space))[0]
+
+
+def _census(spec: GroupActionSpec, p: int, domain, stratum: ConstructibleSet) -> tuple:
+    """:func:`enumerate_orbits`, and the sorted domain points in ``stratum``
+    collected in the same pass."""
     elements = group_elements(spec, p)
-    coords = [compile_poly(c, p) for c in spec.action]
+    act = _compile_map(spec.action, p)
     pred = None if domain is None else set_pred_mod_p(domain, p)
+    in_stratum = set_pred_mod_p(stratum, p)
+    points = enumerate_points(p, spec.space.arity)
+    if pred is not None:
+        points = filter(pred, points)
 
     point_count = 0
     seen = set()
     sizes: dict = {}
     orbit_count = 0
     fixed = []
-    for start in enumerate_points(p, spec.space.arity):
-        if pred is not None and not pred(start):
-            continue
+    stratum_points = []
+    for start in points:
         point_count += 1
+        if in_stratum(start):
+            stratum_points.append(start)
         if start in seen:
             continue
         orbit = {start}
         for g in elements:
-            moved = tuple(c(start + g) for c in coords)
+            moved = act(start + g)
             if moved in orbit:
                 continue
             if pred is not None and not pred(moved):
@@ -206,7 +234,7 @@ def enumerate_orbits(
         sizes[size] = sizes.get(size, 0) + 1
         if size == 1:
             fixed.append(start)
-    return OrbitCensus(
+    census = OrbitCensus(
         p=p,
         point_count=point_count,
         orbit_count=orbit_count,
@@ -214,6 +242,7 @@ def enumerate_orbits(
         fixed_points=tuple(sorted(fixed)),
         group_order=len(elements),
     )
+    return census, tuple(stratum_points)
 
 
 def _runs_at(shadow, p: int) -> bool:
@@ -272,7 +301,9 @@ def _image_check(shadow, cfg: FpConfig) -> tuple:
 
 def _census_check(shadow, cfg: FpConfig) -> tuple:
     p = cfg.p
-    census = enumerate_orbits(shadow.action, cfg, shadow.domain)
+    census, stratum_points = _census(
+        shadow.action, p, shadow.domain, shadow.fixed_stratum
+    )
     want_points, want_orbits, want_sizes = shadow.expected(p)
     want_sizes = dict(sorted(want_sizes.items()))
     shape_ok = (
@@ -280,17 +311,8 @@ def _census_check(shadow, cfg: FpConfig) -> tuple:
         and census.orbit_count == want_orbits
         and census.sizes == want_sizes
     )
-    fixed_pred = set_pred_mod_p(shadow.fixed_stratum, p)
-    domain_pred = (
-        None if shadow.domain is None else set_pred_mod_p(shadow.domain, p)
-    )
     # the declared stratum must be exactly the enumerated fixed points;
     # both come out in the sorted enumeration order
-    stratum_points = tuple(
-        pt
-        for pt in enumerate_points(p, shadow.action.space.arity)
-        if fixed_pred(pt) and (domain_pred is None or domain_pred(pt))
-    )
     fixed_ok = stratum_points == census.fixed_points
     partition_ok = (
         sum(size * count for size, count in census.sizes.items())

@@ -32,6 +32,10 @@ __all__ = ["ParseError", "parse_poly", "parse_polys", "parse_point"]
 # or below.
 MAX_EXPONENT = 255
 
+# CPython's default limit on converting a decimal string to int; a longer
+# literal is refused here, with its position, before int() refuses it
+MAX_DIGITS = 4300
+
 
 class ParseError(ValueError):
     """Input text does not match the polynomial grammar."""
@@ -127,20 +131,21 @@ class _Parser:
         return self.ring.monomial(exps, coeff)
 
     def coeff(self) -> Fraction:
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind != "int":
             self.fail("expected an integer")
         self.advance()
-        num = int(value)
+        num = _integer(value, pos)
         if self.peek()[0] == "/":
             self.advance()
             kind, dvalue, dpos = self.peek()
             if kind != "int":
                 self.fail("expected a positive integer denominator")
-            if int(dvalue) == 0:
+            den = _integer(dvalue, dpos)
+            if den == 0:
                 raise ParseError(f"syntax error at position {dpos}: zero denominator")
             self.advance()
-            return Fraction(num, int(dvalue))
+            return Fraction(num, den)
         return Fraction(num)
 
     def factor(self, exps: list) -> None:
@@ -163,7 +168,13 @@ class _Parser:
             if kind != "int":
                 self.fail("expected a nonnegative integer exponent")
             self.advance()
-            power = int(value)
+            digits = value.lstrip("0") or "0"
+            # longer than the cap's own digits: over the cap, however long
+            if len(digits) > len(str(MAX_EXPONENT)):
+                raise ParseError(
+                    f"exponent {digits} at position {pos} exceeds the limit of {MAX_EXPONENT}"
+                )
+            power = int(digits)
         # the cap is on the term's exponent, so x^200*x^56 fails like x^256
         i = self.ring.index(name)
         exps[i] += power
@@ -171,6 +182,17 @@ class _Parser:
             raise ParseError(
                 f"exponent {exps[i]} at position {pos} exceeds the limit of {MAX_EXPONENT}"
             )
+
+
+def _integer(value: str, pos: int) -> int:
+    """The value of a coefficient or denominator token."""
+    digits = value.lstrip("0") or "0"
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(
+            f"integer with {len(digits)} digits at position {pos} "
+            f"exceeds the limit of {MAX_DIGITS} digits"
+        )
+    return int(digits)
 
 
 def parse_poly(text: str, ring: RingCtx) -> Polynomial:

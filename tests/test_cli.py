@@ -273,6 +273,22 @@ def test_exponent_cap_holds_across_a_product(capsys):
     assert err == "error: exponent 510 at position 9 exceeds the limit of 255\n"
 
 
+@pytest.mark.parametrize(
+    "ideal, message",
+    [
+        ("x^" + "9" * 5000, "exponent " + "9" * 5000 + " at position 3 exceeds the limit of 255"),
+        ("9" * 5000 + "*x", "integer with 5000 digits at position 1 exceeds the limit of 4300 digits"),
+        ("x - 1/" + "7" * 5000, "integer with 5000 digits at position 7 exceeds the limit of 4300 digits"),
+    ],
+    ids=["exponent", "coefficient", "denominator"],
+)
+def test_overlong_integer_literal_exit_2(capsys, ideal, message):
+    code, out, err = run(capsys, "gb", "--ring", "x", "--ideal", ideal)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_catalog(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

@@ -1,19 +1,32 @@
 import functools
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dcoset.polyring import RingCtx, extend_ring
+from dcoset.polyring import Polynomial, RingCtx, evaluate, extend_ring
 from dcoset.groebner import Ideal
-from dcoset.geometry import locally_closed, vanishing, whole_space
+from dcoset.geometry import (
+    ConstructibleSet,
+    LocallyClosedPiece,
+    locally_closed,
+    vanishing,
+    whole_space,
+)
 from dcoset.morphism import PolyMap
 from dcoset.action import GroupActionSpec
+from dcoset.parsing import MAX_EXPONENT
 from dcoset.fforacle import (
     DEFAULT_PRIMES,
     FpConfig,
     GuardViolation,
+    _census_check,
+    _compile_map,
+    _poly_source,
     compile_poly,
     cross_check,
     enumerate_image,
@@ -71,6 +84,110 @@ def test_set_pred_mod_p():
     assert not member((0, 1))
     assert not member((0, 0))
     assert not member((1, 1))
+
+
+# -- compiled evaluators against polyring.evaluate, reduced mod p
+
+_R3 = RingCtx(("x", "y", "z"))
+_TEST_PRIMES = st.sampled_from((2, 3, 5, 7, 11, 13))
+_EXPONENT = st.one_of(st.integers(0, 3), st.just(MAX_EXPONENT), st.integers(0, MAX_EXPONENT))
+_RATIONALS = st.fractions(-50, 50, max_denominator=15)
+
+
+def _polys(exponent=_EXPONENT, coeff=_RATIONALS):
+    term = st.tuples(st.tuples(exponent, exponent, exponent), coeff)
+    return st.lists(term, max_size=5).map(
+        lambda terms: sum((_R3.monomial(e, c) for e, c in terms), _R3.zero())
+    )
+
+
+@st.composite
+def _cases(draw):
+    poly = draw(_polys())
+    p = draw(_TEST_PRIMES)
+    return poly, p, draw(st.tuples(*[st.integers(0, p - 1)] * 3))
+
+
+def _mod_p(value: Fraction, p: int) -> int:
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
+def _reducible_polys(p):
+    """Polynomials whose coefficients all have an image mod p."""
+    return _polys(coeff=_RATIONALS.filter(lambda c: c.denominator % p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cases())
+@example((_R3.zero(), 5, (1, 2, 3)))
+@example((_R3.monomial((0, 0, 0), Fraction(7, 2)), 5, (4, 4, 4)))
+@example((_R3.monomial((MAX_EXPONENT, 1, 0), Fraction(-3, 4)), 13, (12, 5, 0)))
+def test_compile_poly_matches_evaluate_mod_p(case):
+    poly, p, point = case
+    bad = [c for c in poly.terms.values() if c.denominator % p == 0]
+    if bad:
+        with pytest.raises(GuardViolation) as info:
+            compile_poly(poly, p)
+        assert str(info.value) == f"coefficient {bad[0]} has denominator divisible by {p}"
+        return
+    assert compile_poly(poly, p)(point) == _mod_p(evaluate(poly, point), p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TEST_PRIMES, st.data())
+def test_compiled_map_matches_compile_poly(p, data):
+    polys = data.draw(st.lists(_reducible_polys(p), max_size=4))
+    point = data.draw(st.tuples(*[st.integers(0, p - 1)] * 3))
+    values = _compile_map(polys, p)(point)
+    assert values == tuple(compile_poly(f, p)(point) for f in polys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TEST_PRIMES, st.data())
+def test_generated_source_is_ints_and_indices(p, data):
+    poly = data.draw(_reducible_polys(p))
+    assert re.fullmatch(r"[0-9x\[\]*+%() ]*", _poly_source(poly, p))
+
+
+def _in_set_mod_p(s, point, p):
+    """LocallyClosedPiece.contains_point, with each value reduced mod p."""
+
+    def vanishes(ideal):
+        return all(_mod_p(evaluate(g, point), p) == 0 for g in ideal.generators)
+
+    return any(
+        vanishes(piece.carrier) and (piece.excluded is None or not vanishes(piece.excluded))
+        for piece in s.pieces
+    )
+
+
+# low degrees and small integer coefficients, so generators vanish mod p often
+_SMALL_GENS = st.lists(_polys(st.integers(0, 2), st.integers(-3, 3).map(Fraction)), max_size=2)
+_PIECES = st.builds(
+    LocallyClosedPiece,
+    _SMALL_GENS.map(lambda g: Ideal(_R3, g)),
+    st.none() | _SMALL_GENS.map(lambda g: Ideal(_R3, g)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PIECES, max_size=3).map(lambda ps: ConstructibleSet(_R3, ps)), _TEST_PRIMES, st.data())
+def test_set_pred_mod_p_matches_piece_membership(s, p, data):
+    member = set_pred_mod_p(s, p)
+    for _ in range(5):
+        point = data.draw(st.tuples(*[st.integers(0, p - 1)] * 3))
+        assert member(point) is _in_set_mod_p(s, point, p)
+
+
+def test_compile_poly_handles_long_polynomials():
+    """6400 terms and a 100-variable monomial: summed or multiplied in one
+    flat chain, either would overflow CPython's compiler recursion."""
+    ring = RingCtx(tuple(f"v{i}" for i in range(100)))
+    terms = {(a, b) + (0,) * 98: Fraction(a - b, 1 + a) for a in range(80) for b in range(80)}
+    terms[(1,) * 100] = Fraction(1)
+    poly = Polynomial(ring, terms)
+    point = tuple(i % 13 for i in range(100))
+    assert compile_poly(poly, 101)(point) == _mod_p(evaluate(poly, point), 101)
 
 
 def test_enumerate_image_parabola():
@@ -147,6 +264,30 @@ def test_shear_census_frozen_values():
     assert census.point_count == 81
     assert census.orbit_count == 33
     assert census.sizes == {1: 9, 3: 24}
+
+
+@pytest.mark.parametrize("too_large", (False, True))
+def test_census_compares_the_whole_declared_stratum(too_large):
+    """The stratum is read on every domain point, not only on the first
+    point of each orbit: here the extra points V(a22) minus V(a11) are
+    never the first of their shear orbit, whose first point has a11 = 0."""
+    spec = _shear_spec()
+    M = spec.space
+    a11, a12, a21, a22 = M.gens()
+    pieces = [LocallyClosedPiece(Ideal(M, [a21, a22]))]
+    if too_large:
+        pieces.append(LocallyClosedPiece(Ideal(M, [a22]), Ideal(M, [a11])))
+    shadow = CensusShadow(
+        id="census",
+        claim="",
+        action=spec,
+        domain=None,
+        fixed_stratum=ConstructibleSet(M, pieces),
+        expected=lambda p: (81, 33, {1: 9, 3: 24}),
+    )
+    ok, detail = _census_check(shadow, FpConfig(3))
+    assert ok is not too_large
+    assert f"fixed points match declared stratum: {not too_large};" in detail
 
 
 def test_unstable_domain_rejected():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcoset.polyring import RingCtx, format_poly
-from dcoset.parsing import MAX_EXPONENT, ParseError, parse_point, parse_poly, parse_polys
+from dcoset.parsing import MAX_DIGITS, MAX_EXPONENT, ParseError, parse_point, parse_poly, parse_polys
 
 
 @pytest.fixture
@@ -64,6 +64,31 @@ def test_exponent_cap_counts_the_whole_term():
     assert parse_poly("x^200*y*x^55", R) == x ** 255 * y
     with pytest.raises(ParseError, match="exponent 256 at position 9 exceeds the limit of 255"):
         parse_poly("x^200*x^56", R)
+
+
+def test_overlong_exponent_is_refused_before_conversion(ring):
+    nines = "9" * 5000
+    with pytest.raises(ParseError) as info:
+        parse_poly(f"x1^{nines}", ring)
+    assert str(info.value) == f"exponent {nines} at position 4 exceeds the limit of 255"
+    # leading zeros do not count towards the length
+    assert parse_poly("x1^" + "0" * 5000 + "255", ring) == ring.gen("x1") ** 255
+    with pytest.raises(ParseError, match="exponent 1000 at position 9 exceeds"):
+        parse_poly("x1^2*x1^01000", ring)
+
+
+def test_overlong_integer_literals_are_refused(ring):
+    assert MAX_DIGITS == 4300
+    x1 = ring.gen("x1")
+    widest = "9" * MAX_DIGITS
+    assert parse_poly(f"{widest}*x1", ring) == int(widest) * x1
+    assert parse_poly("0" * 5000 + "3/" + "0" * 5000 + "2", ring) == Fraction(3, 2) + 0 * x1
+    with pytest.raises(ParseError) as info:
+        parse_poly(f"x1 - {widest}9", ring)
+    assert str(info.value) == "integer with 4301 digits at position 6 exceeds the limit of 4300 digits"
+    with pytest.raises(ParseError) as info:
+        parse_poly(f"1/{widest}9*x1", ring)
+    assert str(info.value) == "integer with 4301 digits at position 3 exceeds the limit of 4300 digits"
 
 
 def test_unknown_variable_rejected(ring):
