@@ -235,14 +235,17 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     from .fforacle import FpConfig, cross_check, oracle_work
 
-    configs = [FpConfig(p) for p in _oracle_primes(args)]
+    primes = _oracle_primes(args)
     shadows = get_scenario(args.scenario).shadows
-    work = sum(oracle_work(shadows, cfg.p) for cfg in configs)
+    # bound the work before FpConfig tests primality by trial division,
+    # which alone stalls on a large prime
+    work = sum(oracle_work(shadows, abs(p)) for p in primes)
     if work > MAX_ORACLE_WORK:
         raise ValueError(
             f"oracle needs about {work:.1e} point evaluations, above the "
             f"limit of {MAX_ORACLE_WORK:.0e}; use smaller primes"
         )
+    configs = [FpConfig(p) for p in primes]
     reports = [cross_check(args.scenario, cfg) for cfg in configs]
     merged = merge_reports(reports[0].scenario, reports)
     print(merged.to_json() if args.json else merged.to_text())

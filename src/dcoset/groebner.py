@@ -7,8 +7,15 @@ unique reduced monic basis and sorted by leading monomial; and after every
 run the result is audited: each S-polynomial is checked to reduce to zero,
 except for pairs with coprime leading monomials, which reduce to zero by
 Buchberger's first criterion, so the audit certifies a Groebner basis all
-the same.  Division takes the largest remaining term from a heap of
-negated order keys (heap-driven division, after Monagan and Pearce).
+the same; and each input generator is checked to reduce to zero, so the
+basis generates at least the input ideal.
+
+The engine runs on the ring's packed monomials (see `polyring.Packing`):
+a monomial product is an int addition, the key of a product the sum of the
+keys, divisibility one mask test.  Division takes the largest remaining
+term from a heap of negated int order keys (heap-driven division, after
+Monagan and Pearce).  An exponent reaching `EXPONENT_LIMIT` raises
+`ValueError`.
 
 Every comparison uses the order of the ring the polynomials live in; to
 compute under another order, build the ideal over a ring carrying it.
@@ -21,20 +28,17 @@ variable, radical membership through the extra-variable trick of adjoining
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .polyring import (
+    EXPONENT_LIMIT,
     Polynomial,
     RingCtx,
     block_order,
     extend_ring,
     lift,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
 )
 
 __all__ = [
@@ -83,38 +87,152 @@ class Ideal:
         return f"Ideal({inside})"
 
 
+# The engine works on private leading-first lists of (key, exp, coeff)
+# triples: exp is the ring's packed exponent vector and key its order key.
+# Polynomials are converted at the entry and exit of the public functions.
+
+
+def _packed(p: Polynomial) -> list:
+    terms = p._packed
+    if terms is None:
+        pk = p.ring.packing
+        pack, key = pk.pack, pk.key
+        terms = []
+        for m, c in p.terms.items():
+            e = pack(m)
+            terms.append((key(e), e, c))
+        terms.sort(reverse=True)  # keys are distinct, so only keys are compared
+        p._packed = terms
+    return terms
+
+
+def _polynomial(ring: RingCtx, terms: list) -> Polynomial:
+    unpack = ring.packing.unpack
+    p = Polynomial._new(ring, {unpack(e): c for _, e, c in terms})
+    p._packed = terms
+    return p
+
+
+def _monic(terms: list) -> list:
+    lc = terms[0][2]
+    if lc == 1:
+        return terms
+    inv = _ONE / lc
+    return [(k, e, c * inv) for k, e, c in terms]
+
+
+# Every exponent vector the engine forms is a sum of two vectors below
+# EXPONENT_LIMIT, which fits the packing's fields, and is checked against
+# the limit before it is used: a computation that would reach it raises
+# instead of wrapping, so exactness never depends on the field width.
+
+
+def _divisor(terms: list) -> tuple:
+    """(lm, key(lm), lc, tail) for reducing by terms; lc is None if 1."""
+    key, lm, lc = terms[0]
+    return lm, key, None if lc == 1 else lc, terms[1:]
+
+
+def _overflow():
+    return ValueError(
+        f"an exponent reaches the limit of 2^{EXPONENT_LIMIT.bit_length() - 1}"
+    )
+
+
+def _spoly(fd: tuple, gd: tuple, lcm: int, lcm_key: int, over: int) -> list:
+    """S-polynomial of two divisor records whose leading monomials have
+    the given lcm, as a leading-first list."""
+    out = {}
+    for (lm, key, lc, tail), negate in ((fd, False), (gd, True)):
+        shift = lcm - lm
+        dk = lcm_key - key
+        for k, e, c in tail:
+            if lc is not None:
+                c = c / lc
+            if negate:
+                c = -c
+            k += dk
+            old = out.get(k)
+            if old is None:
+                e += shift
+                if e & over:
+                    raise _overflow()
+                out[k] = (e, c)
+            else:
+                v = old[1] + c
+                if v:
+                    out[k] = (old[0], v)
+                else:
+                    del out[k]
+    return sorted(((k, e, c) for k, (e, c) in out.items()), reverse=True)
+
+
 def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S(f, g) = (L/lt f)·f - (L/lt g)·g with L = lcm of the leading monomials."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of the zero polynomial is undefined")
-    lf = f.leading_monomial()
-    lg = g.leading_monomial()
-    lcm = mono_lcm(lf, lg)
-    a = _mul_term(f, mono_div(lcm, lf), _ONE / f.terms[lf])
-    b = _mul_term(g, mono_div(lcm, lg), _ONE / g.terms[lg])
-    return a - b
+    pk = f.ring.packing
+    fd = _divisor(_packed(f))
+    gd = _divisor(_packed(g))
+    lcm = pk.lcm(fd[0], gd[0])
+    return _polynomial(f.ring, _spoly(fd, gd, lcm, pk.key(lcm), pk.over))
 
 
-def _mul_term(p: Polynomial, mono, coeff: Fraction) -> Polynomial:
-    return Polynomial._new(
-        p.ring, {mono_mul(m, mono): c * coeff for m, c in p.terms.items()}
-    )
+def _reduce(terms: list, divisors: Sequence[tuple], pk) -> list:
+    """Remainder of a leading-first list modulo divisor records.
 
-
-def _negated(key):
-    # order keys are int tuples, nested to one fixed shape per order, so
-    # negating every int reverses the comparison: a min-heap of negated
-    # keys pops the largest monomial first
-    return tuple(-k if k.__class__ is int else _negated(k) for k in key)
+    A heap of negated keys yields the largest remaining term first; a term
+    that cancels is left in the heap and skipped when popped.
+    """
+    if not terms or not divisors:
+        return terms
+    guard, over = pk.guard, pk.over
+    lms = [d[0] for d in divisors]
+    work = {}
+    exps = {}
+    for k, e, c in terms:
+        work[-k] = c
+        exps[-k] = e
+    heap = list(work)  # leading-first terms give ascending negated keys: a heap
+    out = []
+    while heap:
+        nk = heappop(heap)
+        c = work.pop(nk, None)
+        if c is None:
+            continue
+        m = exps[nk]
+        for i, lm in enumerate(lms):
+            shift = m - lm
+            if shift & guard:
+                continue  # lm does not divide m
+            _, lk, lc, tail = divisors[i]
+            nshift = nk + lk  # the shift's negated key
+            factor = -c if lc is None else -c / lc
+            for bk, bm, bc in tail:
+                mk = nshift - bk
+                old = work.get(mk)
+                if old is None:
+                    e = bm + shift
+                    if e & over:
+                        raise _overflow()
+                    work[mk] = factor * bc
+                    exps[mk] = e
+                    heappush(heap, mk)
+                else:
+                    v = old + factor * bc
+                    if v:
+                        work[mk] = v
+                    else:
+                        del work[mk]
+            break
+        else:
+            out.append((-nk, m, c))
+    return out
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Fully reduce f against basis: no remainder term is divisible by any
-    leading monomial of the basis, which must live in f's ring.
-
-    Terms are taken largest first from a heap; a term that cancels is left
-    in the heap and skipped when popped.
-    """
+    leading monomial of the basis, which must live in f's ring."""
     basis = [b for b in basis]
     for b in basis:
         if b.is_zero():
@@ -123,49 +241,17 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
             raise ValueError(f"basis element {b!r} is in {b.ring!r}, not in {f.ring!r}")
     if f.is_zero() or not basis:
         return f
-    key = f.ring.order.key
-    lms = [b.leading_monomial() for b in basis]
-    lcs = [b.terms[lm] for b, lm in zip(basis, lms)]
-    work = dict(f.terms)
-    heap = [(_negated(key(m)), m) for m in work]
-    heapq.heapify(heap)
-    out: dict = {}
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.pop(m, None)
-        if c is None:
-            continue
-        for i, lm in enumerate(lms):
-            if mono_divides(lm, m):
-                shift = mono_div(m, lm)
-                factor = c / lcs[i]
-                for bm, bc in basis[i].terms.items():
-                    if bm == lm:
-                        continue
-                    mm = mono_mul(bm, shift)
-                    old = work.get(mm)
-                    if old is None:
-                        work[mm] = -factor * bc
-                        heapq.heappush(heap, (_negated(key(mm)), mm))
-                    else:
-                        v = old - factor * bc
-                        if v:
-                            work[mm] = v
-                        else:
-                            del work[mm]
-                break
-        else:
-            out[m] = c
-    return Polynomial._new(f.ring, out)
+    divisors = [_divisor(_packed(b)) for b in basis]
+    return _polynomial(f.ring, _reduce(_packed(f), divisors, f.ring.packing))
 
 
-def _chain_skip(i, j, lcm_ij, lms, pending) -> bool:
+def _chain_skip(i, j, lcm_ij, lms, pending, guard) -> bool:
     # Buchberger's second criterion: some k with lt(k) | lcm(i,j) whose
     # pairs with both i and j were already handled
     for k in range(len(lms)):
         if k == i or k == j:
             continue
-        if not mono_divides(lms[k], lcm_ij):
+        if (lcm_ij - lms[k]) & guard:
             continue
         p1 = (i, k) if i < k else (k, i)
         p2 = (j, k) if j < k else (k, j)
@@ -174,12 +260,10 @@ def _chain_skip(i, j, lcm_ij, lms, pending) -> bool:
     return False
 
 
-def _buchberger(gens: Sequence[Polynomial]):
-    basis = [g.monic() for g in gens if not g.is_zero()]
-    if not basis:
-        return []
-    lms = [g.leading_monomial() for g in basis]
-    key = basis[0].ring.order.key
+def _buchberger(gens: Sequence[list], pk) -> list:
+    basis = [_monic(g) for g in gens if g]
+    divisors = [_divisor(g) for g in basis]
+    lms = [d[0] for d in divisors]
     # each pair is keyed once, as (key(lcm), i, j, lcm): the heap pops the
     # pair of smallest lcm, ties broken by index; `pending` mirrors the heap
     # for the chain criterion's membership test
@@ -188,82 +272,100 @@ def _buchberger(gens: Sequence[Polynomial]):
 
     def add_pairs(k):
         for m in range(k):
-            lcm = mono_lcm(lms[m], lms[k])
-            heapq.heappush(heap, (key(lcm), m, k, lcm))
+            lcm = pk.lcm(lms[m], lms[k])
+            heappush(heap, (pk.key(lcm), m, k, lcm))
             pending.add((m, k))
 
     for k in range(len(basis)):
         add_pairs(k)
     while heap:
-        _, i, j, lcm_ij = heapq.heappop(heap)
+        lcm_key, i, j, lcm_ij = heappop(heap)
         pending.discard((i, j))
-        if lcm_ij == mono_mul(lms[i], lms[j]):
+        if lcm_ij == lms[i] + lms[j]:
             continue  # coprime leading terms: S-poly reduces to zero
-        if _chain_skip(i, j, lcm_ij, lms, pending):
+        if _chain_skip(i, j, lcm_ij, lms, pending, pk.guard):
             continue
-        h = normal_form(spolynomial(basis[i], basis[j]), basis)
-        if h.is_zero():
+        h = _reduce(_spoly(divisors[i], divisors[j], lcm_ij, lcm_key, pk.over), divisors, pk)
+        if not h:
             continue
-        h = h.monic()
+        h = _monic(h)
         basis.append(h)
-        lms.append(h.leading_monomial())
+        divisors.append(_divisor(h))
+        lms.append(h[0][1])
         add_pairs(len(basis) - 1)
     return basis
 
 
-def _reduced_basis(basis):
-    if not basis:
-        return ()
-    key = basis[0].ring.order.key
+def _reduced_basis(basis: list, pk) -> list:
+    guard = pk.guard
     # minimal: drop any element whose leading monomial is divisible by
     # another kept one; ascending scan keeps the smallest representatives
-    ordered = sorted(range(len(basis)), key=lambda i: (key(basis[i].leading_monomial()), i))
+    ordered = sorted(range(len(basis)), key=lambda i: (basis[i][0][0], i))
     kept = []
     kept_lms = []
     for i in ordered:
-        lm = basis[i].leading_monomial()
-        if any(mono_divides(k, lm) for k in kept_lms):
+        lm = basis[i][0][1]
+        if any(not (lm - k) & guard for k in kept_lms):
             continue
         kept.append(basis[i])
         kept_lms.append(lm)
     # interreduce tails in one pass: leading monomials are fixed from here
     # on, so a tail reduced against them stays reduced
+    divisors = [_divisor(g) for g in kept]
     for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1 :]
+        others = divisors[:i] + divisors[i + 1 :]
         if others:
-            kept[i] = normal_form(kept[i], others).monic()
-    kept.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
-    return tuple(kept)
+            kept[i] = _monic(_reduce(kept[i], others, pk))
+            divisors[i] = _divisor(kept[i])
+    kept.sort(reverse=True)  # by leading key, which is distinct
+    return kept
 
 
-def _assert_fixed_point(basis):
-    lms = [b.leading_monomial() for b in basis]
+def _assert_fixed_point(basis: Sequence[Polynomial], generators: Sequence[Polynomial] = ()):
+    """Certify that basis is a Groebner basis of an ideal containing the
+    generators: every S-polynomial and every generator reduces to zero."""
+    polys = (*basis, *generators)
+    if not polys:
+        return
+    pk = polys[0].ring.packing
+    divisors = [_divisor(_packed(b)) for b in basis]
+    lms = [d[0] for d in divisors]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             # Buchberger's first criterion: an S-polynomial of a pair with
             # coprime leading monomials always reduces to zero, so basis is
             # a Groebner basis iff every other pair's S-polynomial does
-            if mono_lcm(lms[i], lms[j]) == mono_mul(lms[i], lms[j]):
+            lcm = pk.lcm(lms[i], lms[j])
+            if lcm == lms[i] + lms[j]:
                 continue
-            s = spolynomial(basis[i], basis[j])
-            if not normal_form(s, basis).is_zero():
+            s = _spoly(divisors[i], divisors[j], lcm, pk.key(lcm), pk.over)
+            if _reduce(s, divisors, pk):
                 raise AssertionError(
                     f"S-polynomial of basis elements {i} and {j} does not reduce to zero"
                 )
+    # modulo a Groebner basis, a zero remainder proves membership: the
+    # basis generates the input ideal or a larger one
+    for n, g in enumerate(generators):
+        if _reduce(_packed(g), divisors, pk):
+            raise AssertionError(f"generator {n} does not reduce to zero modulo the basis")
 
 
 def groebner_basis(ideal: Ideal):
     """Reduced monic Groebner basis in the ring's order, computed once.
 
     The zero ideal yields the empty tuple; the unit ideal yields (1,).
-    Permuting the generators gives the identical tuple.
+    Permuting the generators gives the identical tuple.  An exponent that
+    reaches the packing limit raises ValueError instead of wrapping.
     """
     tag = ideal.ring.order.tag()
     cached = ideal._gb.get(tag)
     if cached is not None:
         return cached
-    basis = _reduced_basis(_buchberger(ideal.generators))
-    _assert_fixed_point(basis)
+    ring = ideal.ring
+    gens = [_packed(g) for g in ideal.generators]
+    reduced = _reduced_basis(_buchberger(gens, ring.packing), ring.packing)
+    basis = tuple(_polynomial(ring, b) for b in reduced)
+    _assert_fixed_point(basis, ideal.generators)
     ideal._gb[tag] = basis
     return basis
 

@@ -6,10 +6,14 @@ monomial order.  All arithmetic is exact; nothing in this module ever touches
 floating point.
 
 Each ring carries one order, the only one its polynomials are compared
-under; `lift` moves a polynomial into a ring with another.  Orders are
-sort-key functions on exponent tuples, so `max(terms, key=order.key)` picks
-the leading monomial.  Three orders are provided: `LEX`, `GREVLEX`, and
-block orders built with `block_order` for elimination.
+under; `lift` moves a polynomial into a ring with another.  Each ring also
+carries the order's `Packing`: an exponent vector packed into one int with
+a fixed-width field per variable, and the order as a linear image of it
+packed into a second int.  `order.key` maps an exponent tuple to that int,
+so `max(terms, key=order.key)` picks the leading monomial.  Exponents must
+stay below `EXPONENT_LIMIT`; packing a larger one raises `ValueError`.
+Three orders are provided: `LEX`, `GREVLEX`, and block orders built with
+`block_order` for elimination.
 """
 
 from __future__ import annotations
@@ -24,10 +28,8 @@ __all__ = [
     "GREVLEX",
     "BlockOrder",
     "block_order",
-    "mono_mul",
-    "mono_div",
-    "mono_divides",
-    "mono_lcm",
+    "Packing",
+    "EXPONENT_LIMIT",
     "mono_degree",
     "RingCtx",
     "Polynomial",
@@ -65,25 +67,92 @@ def as_rational(value) -> Fraction:
 # monomial utilities
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent-wise difference a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
 def mono_degree(a: Monomial) -> int:
     return sum(a)
+
+
+# ---------------------------------------------------------------------------
+# packed exponent vectors
+
+# Every exponent must stay below EXPONENT_LIMIT.  A field is wide enough for
+# the degree of a whole block, arity * (EXPONENT_LIMIT - 1), so a sum of
+# exponents never carries into the next field.
+_EXP_BITS = 32
+EXPONENT_LIMIT = 1 << _EXP_BITS
+_FIELD = EXPONENT_LIMIT - 1
+
+
+class Packing:
+    """Exponent vectors of one arity as ints, ordered by one monomial order.
+
+    Each variable owns a field of `width` bits.  The order is a sequence of
+    blocks of variable indices, most significant first, each compared
+    grevlex; `key` maps a packed vector to an int whose natural order is
+    the monomial order.  Within a block the fields hold the variables in
+    ring order from the bottom up, so the block's grevlex image (deg,
+    deg - x_n, deg - x_n - x_(n-1), ...) is the prefix sums of its fields,
+    one multiplication away.  LEX is n one-variable blocks: its key is the
+    packed vector itself, x_1 in the top field.
+
+    The key is linear, so the key of a product is the sum of the keys.
+    The top bit of each field is a guard bit, clear in every valid vector:
+    a divides b iff ``(b - a) & guard == 0``, and `lcm` selects fields by
+    the guard bits of ``(a | guard) - b`` (Monagan and Pearce, J. Symb.
+    Comp. 46, 2011).  A sum of two valid vectors fits its fields, and
+    ``& over`` tells whether it is still valid.
+    """
+
+    __slots__ = ("shifts", "width", "guard", "over", "_images")
+
+    def __init__(self, blocks, arity: int):
+        if sorted(i for block in blocks for i in block) != list(range(arity)):
+            raise ValueError(f"order blocks {blocks} do not partition {arity} variables")
+        width = _EXP_BITS + arity.bit_length()
+        pos = [0] * arity
+        images = []
+        lo = 0
+        for block in reversed(blocks):
+            for j, i in enumerate(block):
+                pos[i] = lo + j
+            if len(block) > 1:
+                mask = ((1 << (width * len(block))) - 1) << (width * lo)
+                ones = sum(1 << (width * j) for j in range(len(block)))
+                images.append((mask, ones))
+            lo += len(block)
+        fields = sum(1 << (width * j) for j in range(arity))
+        self.shifts = tuple(width * p for p in pos)
+        self.width = width
+        self.guard = fields << (width - 1)
+        self.over = fields * (((1 << width) - 1) ^ _FIELD)
+        self._images = tuple(images)
+
+    def pack(self, exps: Monomial) -> int:
+        """Pack an exponent tuple; an exponent must lie in [0, EXPONENT_LIMIT)."""
+        e = 0
+        for x, shift in zip(exps, self.shifts):
+            if x:
+                if not 0 < x < EXPONENT_LIMIT:
+                    raise ValueError(
+                        f"exponent {x} is outside the packable range [0, 2^{_EXP_BITS})"
+                    )
+                e |= x << shift
+        return e
+
+    def unpack(self, e: int) -> Monomial:
+        return tuple((e >> shift) & _FIELD for shift in self.shifts)
+
+    def key(self, e: int) -> int:
+        """Order key of a packed vector: replace each block by its prefix sums."""
+        k = e
+        for mask, ones in self._images:
+            part = e & mask
+            k += (part * ones & mask) - part
+        return k
+
+    def lcm(self, a: int, b: int) -> int:
+        guard = self.guard
+        t = ((a | guard) - b) & guard  # guard bit kept where a's field >= b's
+        return b ^ ((a ^ b) & (t - (t >> (self.width - 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +160,28 @@ def mono_degree(a: Monomial) -> int:
 
 
 class MonomialOrder:
-    """Total order on exponent tuples of a fixed arity, given by a sort key."""
+    """Total order on exponent tuples: blocks of variables, most significant
+    first, each compared grevlex.  `key` maps an exponent tuple to an int."""
 
     name = "abstract"
 
-    def key(self, exps: Monomial):
+    def __init__(self):
+        self._packings = {}
+
+    def blocks(self, arity: int) -> tuple:
         raise NotImplementedError
+
+    def packing(self, arity: int) -> Packing:
+        """The packing of this order on `arity` variables, built once."""
+        p = self._packings.get(arity)
+        if p is None:
+            p = self._packings[arity] = Packing(self.blocks(arity), arity)
+        return p
+
+    def key(self, exps: Monomial) -> int:
+        """Sort key: the larger int belongs to the larger monomial."""
+        p = self.packing(len(exps))
+        return p.key(p.pack(exps))
 
     def tag(self):
         """Hashable identity used for caching Groebner bases per order."""
@@ -109,19 +194,15 @@ class MonomialOrder:
 class _Lex(MonomialOrder):
     name = "lex"
 
-    def key(self, exps):
-        return exps
-
-
-def _grevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    def blocks(self, arity):
+        return tuple((i,) for i in range(arity))
 
 
 class _GrevLex(MonomialOrder):
     name = "grevlex"
 
-    def key(self, exps):
-        return _grevlex_key(exps)
+    def blocks(self, arity):
+        return (tuple(range(arity)),)
 
 
 LEX = _Lex()
@@ -140,16 +221,14 @@ class BlockOrder(MonomialOrder):
     name = "block"
 
     def __init__(self, elim_names, kept_names, elim_idx, kept_idx):
+        super().__init__()
         self.elim_names = tuple(elim_names)
         self.kept_names = tuple(kept_names)
         self.elim_idx = tuple(elim_idx)
         self.kept_idx = tuple(kept_idx)
 
-    def key(self, exps):
-        return (
-            _grevlex_key(tuple(exps[i] for i in self.elim_idx)),
-            _grevlex_key(tuple(exps[i] for i in self.kept_idx)),
-        )
+    def blocks(self, arity):
+        return tuple(b for b in (self.elim_idx, self.kept_idx) if b)
 
     def tag(self):
         return ("block", self.elim_idx, self.kept_idx)
@@ -187,7 +266,7 @@ class RingCtx:
     'x^2 + 2*x*y + y^2'
     """
 
-    __slots__ = ("vars", "order", "_index")
+    __slots__ = ("vars", "order", "packing", "_index")
 
     def __init__(self, variables: Iterable[str], order: MonomialOrder = GREVLEX):
         names = tuple(variables)
@@ -197,13 +276,11 @@ class RingCtx:
             raise ValueError("variable names must be nonempty strings")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
+        # the packing refuses an order whose blocks do not partition the variables
+        self.packing = order.packing(len(names))
         if isinstance(order, BlockOrder):
-            covered = tuple(sorted(order.elim_idx + order.kept_idx))
-            if covered != tuple(range(len(names))):
-                raise ValueError("block order does not partition the ring's variables")
-            for i in order.elim_idx:
-                if names[i] not in order.elim_names:
-                    raise ValueError("block order names disagree with the ring")
+            if any(names[i] not in order.elim_names for i in order.elim_idx):
+                raise ValueError("block order names disagree with the ring")
         self.vars = names
         self.order = order
         self._index = {v: i for i, v in enumerate(names)}
@@ -282,12 +359,14 @@ class RingCtx:
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("ring", "terms", "_lm")
+    # _packed memoizes the Groebner engine's view of the terms
+    __slots__ = ("ring", "terms", "_lm", "_packed")
 
     def __init__(self, ring: RingCtx, terms: Mapping[Monomial, Fraction]):
         self.ring = ring
         self.terms = dict(terms)
         self._lm = None
+        self._packed = None
 
     @classmethod
     def _new(cls, ring, terms):
@@ -295,6 +374,7 @@ class Polynomial:
         p.ring = ring
         p.terms = terms
         p._lm = None
+        p._packed = None
         return p
 
     # -- predicates and accessors

@@ -252,6 +252,17 @@ def test_oracle_refuses_unbounded_work(capsys):
     assert out.rstrip().endswith("verdict: skip")
 
 
+def test_oracle_refuses_a_large_prime_before_testing_primality(capsys):
+    # trial division up to sqrt(p) would run for minutes at p ~ 1e18
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "background", "--prime", "1000000000000000003")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: oracle needs about 1.0e+90 point evaluations")
+
+
 def test_huge_exponent_is_refused_at_parse_time(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "gb", "--ring", "x", "--ideal", "x^100000000")

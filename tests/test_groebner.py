@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcoset.polyring import LEX, RingCtx, block_order
+from dcoset import groebner
+from dcoset.polyring import EXPONENT_LIMIT, LEX, RingCtx, block_order
 from dcoset.groebner import (
     Ideal,
     _assert_fixed_point,
@@ -162,6 +163,38 @@ def test_fixed_point_audit_rejects_a_non_groebner_basis():
     with pytest.raises(AssertionError, match="elements 0 and 1"):
         _assert_fixed_point((x ** 2 - y, x * y - 1, z - 1))
     _assert_fixed_point((x ** 2 - y, z - 1))
+
+
+def test_audit_catches_an_engine_that_drops_a_generator(monkeypatch):
+    R = RingCtx(("x", "y"))
+    x, y = R.gens()
+    buchberger = groebner._buchberger
+    # the mutant returns a Groebner basis, but of a smaller ideal
+    monkeypatch.setattr(groebner, "_buchberger", lambda gens, pk: buchberger(gens[1:], pk))
+    with pytest.raises(AssertionError, match="generator 0 does not reduce to zero"):
+        groebner_basis(Ideal(R, [x ** 2 - y, x * y - 1]))
+
+
+def test_exponents_at_the_packing_limit_are_refused():
+    R = RingCtx(("x", "y"), LEX)
+    x, y = R.gens()
+    with pytest.raises(ValueError, match="exponent"):
+        groebner_basis(Ideal(R, [R.monomial((2 ** 40, 0)) - y]))
+    # reducing x^2 by x - y^(2^31) leaves y^(2^32), and reducing x^3 meets
+    # the shift y^(2^32) on the way: refused, not wrapped
+    g = x - R.monomial((0, 2 ** 31))
+    with pytest.raises(ValueError, match="exponent"):
+        groebner_basis(Ideal(R, [g, x ** 2]))
+    for f in (x ** 2, x ** 3):
+        with pytest.raises(ValueError, match="exponent"):
+            normal_form(f, [g])
+    # S(g, x*y^(2^31) - 1) = 1 - y^(2^32)
+    with pytest.raises(ValueError, match="exponent"):
+        spolynomial(g, x * R.monomial((0, 2 ** 31)) - 1)
+    # just below the limit the engine is exact
+    top = R.monomial((EXPONENT_LIMIT - 1, 0))
+    assert groebner_basis(Ideal(R, [top - y])) == (top - y,)
+    assert normal_form(y * top, [top - y]) == y ** 2
 
 
 def test_ideal_moves_generators_into_its_ring():

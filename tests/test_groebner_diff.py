@@ -1,38 +1,89 @@
 """Differential test: the Groebner engine against a frozen copy of its
 earlier, simpler form.
 
-The reference engine below selects pairs by a full scan of the pending set,
-reduces by taking the maximum of the whole remainder at every step, and
-audits every S-pair with no criterion.  The heap-driven engine must give
-the same reduced bases and the same remainders, including against bases
-that are not Groebner bases, where the remainder depends on which term and
-which divisor are taken at each step.
+The reference engine below works on exponent tuples with the tuple sort
+keys the orders had before they were packed into ints.  It selects pairs by
+a full scan of the pending set, reduces by taking the maximum of the whole
+remainder at every step, and audits every S-pair with no criterion.  The
+packed, heap-driven engine must give the same reduced bases and the same
+remainders, including against bases that are not Groebner bases, where the
+remainder depends on which term and which divisor are taken at each step.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcoset.groebner import Ideal, groebner_basis, normal_form, spolynomial
 from dcoset.polyring import (
+    GREVLEX,
     LEX,
+    EXPONENT_LIMIT,
     Polynomial,
     RingCtx,
     block_order,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
 )
+from dcoset.parsing import MAX_EXPONENT
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_div(a, b):
+    """Exponent-wise difference a/b; caller guarantees divisibility."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(x if x >= y else y for x, y in zip(a, b))
+
+
+def _grevlex_key(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _old_key(order):
+    """The tuple sort key each order had before order keys became ints."""
+    if order is LEX:
+        return lambda exps: exps
+    if order is GREVLEX:
+        return _grevlex_key
+    return lambda exps: (
+        _grevlex_key(tuple(exps[i] for i in order.elim_idx)),
+        _grevlex_key(tuple(exps[i] for i in order.kept_idx)),
+    )
+
+
+def _old_lm(p, key):
+    return max(p.terms, key=key)
+
+
+def _old_monic(p, key):
+    lc = p.terms[_old_lm(p, key)]
+    return Polynomial._new(p.ring, {m: c / lc for m, c in p.terms.items()})
+
+
+def _old_spolynomial(f, g, key):
+    lf, lg = _old_lm(f, key), _old_lm(g, key)
+    lcm = mono_lcm(lf, lg)
+    a = {mono_mul(m, mono_div(lcm, lf)): c / f.terms[lf] for m, c in f.terms.items()}
+    b = {mono_mul(m, mono_div(lcm, lg)): c / g.terms[lg] for m, c in g.terms.items()}
+    return Polynomial._new(f.ring, a) - Polynomial._new(g.ring, b)
 
 
 def _old_normal_form(f, basis, order):
     basis = list(basis)
     if f.is_zero() or not basis:
         return f
-    key = order.key
-    lms = [b.leading_monomial() for b in basis]
+    key = _old_key(order)
+    lms = [_old_lm(b, key) for b in basis]
     lcs = [b.terms[lm] for b, lm in zip(basis, lms)]
     work = dict(f.terms)
     out = {}
@@ -70,12 +121,12 @@ def _old_chain_skip(i, j, lcm_ij, lms, pending):
 
 
 def _old_buchberger(gens, order):
-    basis = [g.monic() for g in gens if not g.is_zero()]
+    key = _old_key(order)
+    basis = [_old_monic(g, key) for g in gens if not g.is_zero()]
     if not basis:
         return []
-    lms = [g.leading_monomial() for g in basis]
+    lms = [_old_lm(g, key) for g in basis]
     pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    key = order.key
     while pending:
         i, j = min(pending, key=lambda p: (key(mono_lcm(lms[p[0]], lms[p[1]])), p))
         pending.discard((i, j))
@@ -84,13 +135,13 @@ def _old_buchberger(gens, order):
             continue
         if _old_chain_skip(i, j, lcm_ij, lms, pending):
             continue
-        h = _old_normal_form(spolynomial(basis[i], basis[j]), basis, order)
+        h = _old_normal_form(_old_spolynomial(basis[i], basis[j], key), basis, order)
         if h.is_zero():
             continue
-        h = h.monic()
+        h = _old_monic(h, key)
         k = len(basis)
         basis.append(h)
-        lms.append(h.leading_monomial())
+        lms.append(_old_lm(h, key))
         for m in range(k):
             pending.add((m, k))
     return basis
@@ -99,12 +150,12 @@ def _old_buchberger(gens, order):
 def _old_reduced_basis(basis, order):
     if not basis:
         return ()
-    key = order.key
-    ordered = sorted(range(len(basis)), key=lambda i: (key(basis[i].leading_monomial()), i))
+    key = _old_key(order)
+    ordered = sorted(range(len(basis)), key=lambda i: (key(_old_lm(basis[i], key)), i))
     kept = []
     kept_lms = []
     for i in ordered:
-        lm = basis[i].leading_monomial()
+        lm = _old_lm(basis[i], key)
         if any(mono_divides(k, lm) for k in kept_lms):
             continue
         kept.append(basis[i])
@@ -112,16 +163,17 @@ def _old_reduced_basis(basis, order):
     for i in range(len(kept)):
         others = kept[:i] + kept[i + 1 :]
         if others:
-            kept[i] = _old_normal_form(kept[i], others, order).monic()
-    kept.sort(key=lambda g: key(g.leading_monomial()), reverse=True)
+            kept[i] = _old_monic(_old_normal_form(kept[i], others, order), key)
+    kept.sort(key=lambda g: key(_old_lm(g, key)), reverse=True)
     return tuple(kept)
 
 
 def _old_groebner_basis(gens, order):
+    key = _old_key(order)
     basis = _old_reduced_basis(_old_buchberger(gens, order), order)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            s = spolynomial(basis[i], basis[j])
+            s = _old_spolynomial(basis[i], basis[j], key)
             assert _old_normal_form(s, basis, order).is_zero()
     return basis
 
@@ -182,3 +234,57 @@ def test_reduced_bases_match_old_engine(case):
 def test_remainders_match_old_normal_form(case):
     f, basis = case
     assert normal_form(f, basis).terms == _old_normal_form(f, basis, f.ring.order).terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ideals())
+def test_basis_lies_in_the_ideal(case):
+    # G ⊆ I: each element of the engine's basis reduces to zero modulo the
+    # reference engine's basis of the input ideal
+    ring, gens = case
+    old = _old_groebner_basis(gens, ring.order)
+    for g in groebner_basis(Ideal(ring, gens)):
+        assert _old_normal_form(g, old, ring.order).is_zero()
+
+
+@st.composite
+def _orders_and_vectors(draw):
+    arity = draw(st.integers(1, 6))
+    ring = RingCtx([f"x{i}" for i in range(arity)])
+    kind = draw(st.sampled_from(("lex", "grevlex", "block")))
+    if kind == "lex":
+        order = LEX
+    elif kind == "grevlex":
+        order = GREVLEX
+    else:
+        # any subset, contiguous or not, may be eliminated
+        eliminated = draw(st.sets(st.sampled_from(ring.vars)))
+        order = block_order(ring, eliminated)
+    vector = st.tuples(*[st.integers(0, MAX_EXPONENT)] * arity)
+    return order, draw(st.lists(vector, min_size=2, max_size=12, unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_orders_and_vectors())
+def test_packed_operations_agree_with_tuples(case):
+    order, vectors = case
+    pk = order.packing(len(vectors[0]))
+    assert sorted(vectors, key=order.key) == sorted(vectors, key=_old_key(order))
+    assert all(order.key(v) == pk.key(pk.pack(v)) for v in vectors)
+    for a, b in zip(vectors, vectors[1:] + vectors[:1]):
+        pa, pb = pk.pack(a), pk.pack(b)
+        assert pk.unpack(pa) == a
+        assert pk.unpack(pa + pb) == mono_mul(a, b)
+        assert pk.key(pa + pb) == pk.key(pa) + pk.key(pb)
+        assert (not (pb - pa) & pk.guard) == mono_divides(a, b)
+        assert pk.unpack(pk.lcm(pa, pb)) == mono_lcm(a, b)
+    # at the limit: an exponent of EXPONENT_LIMIT - 1 packs and compares,
+    # EXPONENT_LIMIT is refused
+    top = (EXPONENT_LIMIT - 1,) * len(vectors[0])
+    ptop, pa = pk.pack(top), pk.pack(vectors[0])
+    assert pk.unpack(ptop) == top
+    assert not (ptop - pa) & pk.guard and (pa - ptop) & pk.guard
+    assert pk.lcm(ptop, pa) == pk.lcm(pa, ptop) == ptop
+    assert order.key(top) > order.key(vectors[0])
+    with pytest.raises(ValueError, match="exponent"):
+        pk.pack((EXPONENT_LIMIT,) + top[1:])
