@@ -9,7 +9,6 @@ scenarios with reports, and a finite-field brute-force oracle.
 from .polyring import (
     GREVLEX,
     LEX,
-    BlockOrder,
     MonomialOrder,
     Polynomial,
     RationalPoint,

@@ -173,6 +173,7 @@ class OrbitCensus:
     sizes: dict  # orbit size -> number of orbits of that size
     fixed_points: tuple  # sorted points whose orbit is a singleton
     group_order: int
+    stratum_points: tuple  # sorted domain points in the stratum given, if any
 
 
 def group_elements(spec: GroupActionSpec, p: int) -> tuple:
@@ -185,6 +186,7 @@ def enumerate_orbits(
     spec: GroupActionSpec,
     cfg: FpConfig,
     domain: ConstructibleSet | None = None,
+    stratum: ConstructibleSet | None = None,
 ) -> OrbitCensus:
     """Partition the F_p-points of ``domain`` into orbits.
 
@@ -193,17 +195,14 @@ def enumerate_orbits(
     the orbit of x is {g·x} in one pass over the elements.  The domain must
     be action-stable; an orbit point outside it raises ValueError.  Checking
     the moves of x alone suffices, since G·y = G·x for every y in the orbit.
+    The domain points in ``stratum``, if given, are collected in the same
+    pass.
     """
-    return _census(spec, cfg.p, domain, ConstructibleSet(spec.space))[0]
-
-
-def _census(spec: GroupActionSpec, p: int, domain, stratum: ConstructibleSet) -> tuple:
-    """:func:`enumerate_orbits`, and the sorted domain points in ``stratum``
-    collected in the same pass."""
+    p = cfg.p
     elements = group_elements(spec, p)
     act = _compile_map(spec.action, p)
     pred = None if domain is None else set_pred_mod_p(domain, p)
-    in_stratum = set_pred_mod_p(stratum, p)
+    in_stratum = None if stratum is None else set_pred_mod_p(stratum, p)
     points = enumerate_points(p, spec.space.arity)
     if pred is not None:
         points = filter(pred, points)
@@ -216,7 +215,7 @@ def _census(spec: GroupActionSpec, p: int, domain, stratum: ConstructibleSet) ->
     stratum_points = []
     for start in points:
         point_count += 1
-        if in_stratum(start):
+        if in_stratum is not None and in_stratum(start):
             stratum_points.append(start)
         if start in seen:
             continue
@@ -234,15 +233,15 @@ def _census(spec: GroupActionSpec, p: int, domain, stratum: ConstructibleSet) ->
         sizes[size] = sizes.get(size, 0) + 1
         if size == 1:
             fixed.append(start)
-    census = OrbitCensus(
+    return OrbitCensus(
         p=p,
         point_count=point_count,
         orbit_count=orbit_count,
         sizes=dict(sorted(sizes.items())),
         fixed_points=tuple(sorted(fixed)),
         group_order=len(elements),
+        stratum_points=tuple(stratum_points),
     )
-    return census, tuple(stratum_points)
 
 
 def _runs_at(shadow, p: int) -> bool:
@@ -301,9 +300,7 @@ def _image_check(shadow, cfg: FpConfig) -> tuple:
 
 def _census_check(shadow, cfg: FpConfig) -> tuple:
     p = cfg.p
-    census, stratum_points = _census(
-        shadow.action, p, shadow.domain, shadow.fixed_stratum
-    )
+    census = enumerate_orbits(shadow.action, cfg, shadow.domain, shadow.fixed_stratum)
     want_points, want_orbits, want_sizes = shadow.expected(p)
     want_sizes = dict(sorted(want_sizes.items()))
     shape_ok = (
@@ -313,7 +310,7 @@ def _census_check(shadow, cfg: FpConfig) -> tuple:
     )
     # the declared stratum must be exactly the enumerated fixed points;
     # both come out in the sorted enumeration order
-    fixed_ok = stratum_points == census.fixed_points
+    fixed_ok = census.stratum_points == census.fixed_points
     partition_ok = (
         sum(size * count for size, count in census.sizes.items())
         == census.point_count

@@ -87,30 +87,10 @@ class Ideal:
         return f"Ideal({inside})"
 
 
-# The engine works on private leading-first lists of (key, exp, coeff)
-# triples: exp is the ring's packed exponent vector and key its order key.
-# Polynomials are converted at the entry and exit of the public functions.
-
-
-def _packed(p: Polynomial) -> list:
-    terms = p._packed
-    if terms is None:
-        pk = p.ring.packing
-        pack, key = pk.pack, pk.key
-        terms = []
-        for m, c in p.terms.items():
-            e = pack(m)
-            terms.append((key(e), e, c))
-        terms.sort(reverse=True)  # keys are distinct, so only keys are compared
-        p._packed = terms
-    return terms
-
-
-def _polynomial(ring: RingCtx, terms: list) -> Polynomial:
-    unpack = ring.packing.unpack
-    p = Polynomial._new(ring, {unpack(e): c for _, e, c in terms})
-    p._packed = terms
-    return p
+# The engine works on leading-first lists of (key, exp, coeff) triples:
+# exp is the ring's packed exponent vector and key its order key.
+# Polynomials are converted at the entry and exit of the public functions,
+# by `Polynomial.packed` and `Polynomial.from_packed`.
 
 
 def _monic(terms: list) -> list:
@@ -172,10 +152,10 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of the zero polynomial is undefined")
     pk = f.ring.packing
-    fd = _divisor(_packed(f))
-    gd = _divisor(_packed(g))
+    fd = _divisor(f.packed())
+    gd = _divisor(g.packed())
     lcm = pk.lcm(fd[0], gd[0])
-    return _polynomial(f.ring, _spoly(fd, gd, lcm, pk.key(lcm), pk.over))
+    return Polynomial.from_packed(f.ring, _spoly(fd, gd, lcm, pk.key(lcm), pk.over))
 
 
 def _reduce(terms: list, divisors: Sequence[tuple], pk) -> list:
@@ -241,8 +221,8 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
             raise ValueError(f"basis element {b!r} is in {b.ring!r}, not in {f.ring!r}")
     if f.is_zero() or not basis:
         return f
-    divisors = [_divisor(_packed(b)) for b in basis]
-    return _polynomial(f.ring, _reduce(_packed(f), divisors, f.ring.packing))
+    divisors = [_divisor(b.packed()) for b in basis]
+    return Polynomial.from_packed(f.ring, _reduce(f.packed(), divisors, f.ring.packing))
 
 
 def _chain_skip(i, j, lcm_ij, lms, pending, guard) -> bool:
@@ -328,7 +308,7 @@ def _assert_fixed_point(basis: Sequence[Polynomial], generators: Sequence[Polyno
     if not polys:
         return
     pk = polys[0].ring.packing
-    divisors = [_divisor(_packed(b)) for b in basis]
+    divisors = [_divisor(b.packed()) for b in basis]
     lms = [d[0] for d in divisors]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -346,7 +326,7 @@ def _assert_fixed_point(basis: Sequence[Polynomial], generators: Sequence[Polyno
     # modulo a Groebner basis, a zero remainder proves membership: the
     # basis generates the input ideal or a larger one
     for n, g in enumerate(generators):
-        if _reduce(_packed(g), divisors, pk):
+        if _reduce(g.packed(), divisors, pk):
             raise AssertionError(f"generator {n} does not reduce to zero modulo the basis")
 
 
@@ -362,9 +342,9 @@ def groebner_basis(ideal: Ideal):
     if cached is not None:
         return cached
     ring = ideal.ring
-    gens = [_packed(g) for g in ideal.generators]
+    gens = [g.packed() for g in ideal.generators]
     reduced = _reduced_basis(_buchberger(gens, ring.packing), ring.packing)
-    basis = tuple(_polynomial(ring, b) for b in reduced)
+    basis = tuple(Polynomial.from_packed(ring, b) for b in reduced)
     _assert_fixed_point(basis, ideal.generators)
     ideal._gb[tag] = basis
     return basis
@@ -427,12 +407,7 @@ def eliminate(ideal: Ideal, drop: Iterable[str], into: RingCtx | None = None) ->
         return Ideal(small, [lift(g, small) for g in ideal.generators])
     order = block_order(ideal.ring, drop)
     basis = groebner_basis(Ideal(RingCtx(ideal.ring.vars, order), ideal.generators))
-    drop_idx = order.elim_idx
-    kept = []
-    for g in basis:
-        if all(all(m[i] == 0 for i in drop_idx) for m in g.terms):
-            kept.append(lift(g, small))
-    return Ideal(small, kept)
+    return Ideal(small, [lift(g, small) for g in basis if drop.isdisjoint(g.variables_used())])
 
 
 def saturate(ideal: Ideal, g: Polynomial) -> Ideal:

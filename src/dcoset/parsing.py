@@ -8,17 +8,20 @@ Grammar (no implicit multiplication, whitespace ignored):
     coeff  := int ('/' nat)?
     var    := letter (letter | digit | '_')*
     sign   := '+' | '-'
+    point  := sign? coeff (',' sign? coeff)*
 
 Examples: ``x1*x4 + x2*x3``, ``3/2*a^2 - 1``, ``-d*w``.  Exponents must
 be nonnegative: ``x^-1`` is rejected with a dedicated message, and so is a
 term whose exponent in some variable exceeds :data:`MAX_EXPONENT`, such as
-``x^256`` or ``x^200*x^56``, before the term is built.  Errors carry
-1-based positions.  The printer in :mod:`.polyring` emits text this parser
-accepts, so reports round-trip.
+``x^256`` or ``x^200*x^56``, or whose total degree does, such as
+``x^255*y``, before the term is built.  Errors carry 1-based positions.
+The printer in :mod:`.polyring` emits text this parser accepts, so
+reports round-trip.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .polyring import Polynomial, RingCtx
@@ -29,7 +32,7 @@ __all__ = ["ParseError", "parse_poly", "parse_polys", "parse_point"]
 # Exact arithmetic slows quickly with the degree: on a 2-core CPython 3.11
 # machine a one-variable radical-membership test takes 2.4 s with x^200 and
 # 15 s with x^400, while the scenarios and documented examples stay at x^10
-# or below.
+# or below.  The cap holds for each variable and for the term's degree.
 MAX_EXPONENT = 255
 
 # CPython's default limit on converting a decimal string to int; a longer
@@ -175,13 +178,15 @@ class _Parser:
                     f"exponent {digits} at position {pos} exceeds the limit of {MAX_EXPONENT}"
                 )
             power = int(digits)
-        # the cap is on the term's exponent, so x^200*x^56 fails like x^256
+        # the cap is on the term's exponent, so x^200*x^56 fails like x^256,
+        # and on its degree, so x^255*y^255 fails too
         i = self.ring.index(name)
         exps[i] += power
-        if exps[i] > MAX_EXPONENT:
-            raise ParseError(
-                f"exponent {exps[i]} at position {pos} exceeds the limit of {MAX_EXPONENT}"
-            )
+        for what, value in (("exponent", exps[i]), ("term degree", sum(exps))):
+            if value > MAX_EXPONENT:
+                raise ParseError(
+                    f"{what} {value} at position {pos} exceeds the limit of {MAX_EXPONENT}"
+                )
 
 
 def _integer(value: str, pos: int) -> int:
@@ -209,16 +214,32 @@ def parse_polys(text: str, ring: RingCtx) -> tuple:
     return tuple(parse_poly(part, ring) for part in parts)
 
 
+# one coordinate of a point, stripped: sign? coeff, in ASCII digits
+_COORDINATE = re.compile(r"([+-]?)\s*([0-9]+)(?:\s*/\s*([0-9]+))?")
+
+
 def parse_point(text: str, arity: int) -> tuple:
     """Parse comma-separated rational coordinates like ``0,3/2,-1``."""
     parts = text.split(",")
     if len(parts) != arity:
         raise ParseError(f"expected {arity} coordinates, got {len(parts)}")
     coords = []
+    end = 0  # characters of text before the part
     for part in parts:
-        part = part.strip()
-        try:
-            coords.append(Fraction(part))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad coordinate {part!r}: {exc}") from None
+        body = part.strip()
+        start = end + len(part) - len(part.lstrip()) + 1  # body's position
+        end += len(part) + 1
+        m = _COORDINATE.fullmatch(body)
+        if m is None:
+            raise ParseError(
+                f"bad coordinate {body!r} at position {start}: "
+                "expected an integer or a fraction such as -3/2"
+            )
+        value = Fraction(_integer(m[2], start + m.start(2)))
+        if m[3] is not None:
+            den = _integer(m[3], start + m.start(3))
+            if den == 0:
+                raise ParseError(f"syntax error at position {start + m.start(3)}: zero denominator")
+            value /= den
+        coords.append(-value if m[1] == "-" else value)
     return tuple(coords)

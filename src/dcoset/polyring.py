@@ -6,14 +6,16 @@ monomial order.  All arithmetic is exact; nothing in this module ever touches
 floating point.
 
 Each ring carries one order, the only one its polynomials are compared
-under; `lift` moves a polynomial into a ring with another.  Each ring also
-carries the order's `Packing`: an exponent vector packed into one int with
-a fixed-width field per variable, and the order as a linear image of it
-packed into a second int.  `order.key` maps an exponent tuple to that int,
-so `max(terms, key=order.key)` picks the leading monomial.  Exponents must
+under; `lift` moves a polynomial into a ring with another.  An order is a
+partition of the variables into blocks, and the ring builds its `Packing`
+from it: an exponent vector packed into one int with a fixed-width field
+per variable, and the order as a linear image of it packed into a second
+int.  The packing is the one place monomials are ordered:
+`Polynomial.packed` lists the terms by it, leading term first, and
+printing and the Groebner engine both read that list.  Exponents must
 stay below `EXPONENT_LIMIT`; packing a larger one raises `ValueError`.
-Three orders are provided: `LEX`, `GREVLEX`, and block orders built with
-`block_order` for elimination.
+Three kinds of order are provided: `LEX`, `GREVLEX`, and block orders
+built with `block_order` for elimination.
 """
 
 from __future__ import annotations
@@ -26,11 +28,9 @@ __all__ = [
     "MonomialOrder",
     "LEX",
     "GREVLEX",
-    "BlockOrder",
     "block_order",
     "Packing",
     "EXPONENT_LIMIT",
-    "mono_degree",
     "RingCtx",
     "Polynomial",
     "RationalPoint",
@@ -61,14 +61,6 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# monomial utilities
-
-
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +152,15 @@ class Packing:
 
 
 class MonomialOrder:
-    """Total order on exponent tuples: blocks of variables, most significant
-    first, each compared grevlex.  `key` maps an exponent tuple to an int."""
+    """Total order on monomials: blocks of variable indices, most significant
+    first, each compared grevlex.  The ring's `Packing` is the only thing
+    that compares monomials under it."""
 
-    name = "abstract"
-
-    def __init__(self):
+    def __init__(self, name: str, blocks, tag=None):
+        self.name = name
+        self.blocks = blocks  # arity -> tuple of blocks of variable indices
+        self._tag = name if tag is None else tag
         self._packings = {}
-
-    def blocks(self, arity: int) -> tuple:
-        raise NotImplementedError
 
     def packing(self, arity: int) -> Packing:
         """The packing of this order on `arity` variables, built once."""
@@ -178,79 +169,37 @@ class MonomialOrder:
             p = self._packings[arity] = Packing(self.blocks(arity), arity)
         return p
 
-    def key(self, exps: Monomial) -> int:
-        """Sort key: the larger int belongs to the larger monomial."""
-        p = self.packing(len(exps))
-        return p.key(p.pack(exps))
-
     def tag(self):
         """Hashable identity used for caching Groebner bases per order."""
-        return self.name
+        return self._tag
 
     def __repr__(self):
         return self.name
 
 
-class _Lex(MonomialOrder):
-    name = "lex"
-
-    def blocks(self, arity):
-        return tuple((i,) for i in range(arity))
+LEX = MonomialOrder("lex", lambda arity: tuple((i,) for i in range(arity)))
+GREVLEX = MonomialOrder("grevlex", lambda arity: (tuple(range(arity)),))
 
 
-class _GrevLex(MonomialOrder):
-    name = "grevlex"
-
-    def blocks(self, arity):
-        return (tuple(range(arity)),)
-
-
-LEX = _Lex()
-GREVLEX = _GrevLex()
-
-
-class BlockOrder(MonomialOrder):
-    """Two-block elimination order.
+def block_order(ring: "RingCtx", eliminated: Iterable[str]) -> MonomialOrder:
+    """The elimination order on `ring` that drops `eliminated` first.
 
     Exponents are split into an eliminated block and a kept block by
     variable index; blocks are compared grevlex, eliminated block first.
     Any polynomial whose leading monomial avoids the eliminated block lies
     entirely in the kept subring, which is what makes elimination work.
     """
-
-    name = "block"
-
-    def __init__(self, elim_names, kept_names, elim_idx, kept_idx):
-        super().__init__()
-        self.elim_names = tuple(elim_names)
-        self.kept_names = tuple(kept_names)
-        self.elim_idx = tuple(elim_idx)
-        self.kept_idx = tuple(kept_idx)
-
-    def blocks(self, arity):
-        return tuple(b for b in (self.elim_idx, self.kept_idx) if b)
-
-    def tag(self):
-        return ("block", self.elim_idx, self.kept_idx)
-
-    def __repr__(self):
-        return f"block({','.join(self.elim_names)} ; {','.join(self.kept_names)})"
-
-
-def block_order(ring: "RingCtx", eliminated: Iterable[str]) -> BlockOrder:
-    """Build the elimination order on `ring` that drops `eliminated` first."""
     elim = set(eliminated)
     unknown = elim - set(ring.vars)
     if unknown:
         raise ValueError(f"variables not in ring: {sorted(unknown)}")
     elim_idx = tuple(i for i, v in enumerate(ring.vars) if v in elim)
     kept_idx = tuple(i for i, v in enumerate(ring.vars) if v not in elim)
-    return BlockOrder(
-        tuple(ring.vars[i] for i in elim_idx),
-        tuple(ring.vars[i] for i in kept_idx),
-        elim_idx,
-        kept_idx,
+    blocks = tuple(b for b in (elim_idx, kept_idx) if b)
+    name = "block({} ; {})".format(
+        ",".join(ring.vars[i] for i in elim_idx), ",".join(ring.vars[i] for i in kept_idx)
     )
+    return MonomialOrder(name, lambda arity: blocks, ("block", elim_idx, kept_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +227,6 @@ class RingCtx:
             raise ValueError(f"duplicate variable names in {names}")
         # the packing refuses an order whose blocks do not partition the variables
         self.packing = order.packing(len(names))
-        if isinstance(order, BlockOrder):
-            if any(names[i] not in order.elim_names for i in order.elim_idx):
-                raise ValueError("block order names disagree with the ring")
         self.vars = names
         self.order = order
         self._index = {v: i for i, v in enumerate(names)}
@@ -359,23 +305,27 @@ class RingCtx:
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    # _packed memoizes the Groebner engine's view of the terms
-    __slots__ = ("ring", "terms", "_lm", "_packed")
+    __slots__ = ("ring", "terms", "_packed")
 
     def __init__(self, ring: RingCtx, terms: Mapping[Monomial, Fraction]):
         self.ring = ring
         self.terms = dict(terms)
-        self._lm = None
         self._packed = None
 
     @classmethod
-    def _new(cls, ring, terms):
+    def _new(cls, ring, terms, packed=None):
         p = cls.__new__(cls)
         p.ring = ring
         p.terms = terms
-        p._lm = None
-        p._packed = None
+        p._packed = packed
         return p
+
+    @classmethod
+    def from_packed(cls, ring: RingCtx, terms: list) -> "Polynomial":
+        """The polynomial of a leading-first list of (key, exp, coeff)
+        triples over the ring's packing; `packed()` returns that list."""
+        unpack = ring.packing.unpack
+        return cls._new(ring, {unpack(e): c for _, e, c in terms}, terms)
 
     # -- predicates and accessors
 
@@ -396,7 +346,7 @@ class Polynomial:
         """Total degree; the zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(sum(m) for m in self.terms)
 
     def variables_used(self) -> tuple:
         """Names of variables with a nonzero exponent somewhere, in ring order."""
@@ -407,30 +357,25 @@ class Polynomial:
                     seen[i] = True
         return tuple(v for v, s in zip(self.ring.vars, seen) if s)
 
-    def leading_monomial(self) -> Monomial:
-        """Largest monomial under the ring's order, computed once."""
-        lm = self._lm
-        if lm is None:
-            if not self.terms:
-                raise ValueError("the zero polynomial has no leading monomial")
-            lm = self._lm = max(self.terms, key=self.ring.order.key)
-        return lm
-
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            raise ValueError("cannot normalize the zero polynomial")
-        lc = self.leading_coefficient()
-        if lc == 1:
-            return self
-        inv = _ONE / lc
-        return Polynomial._new(self.ring, {m: c * inv for m, c in self.terms.items()})
+    def packed(self) -> list:
+        """The terms as (key, exp, coeff) triples over the ring's packing,
+        leading term first, computed once; the list must not be changed."""
+        terms = self._packed
+        if terms is None:
+            pk = self.ring.packing
+            pack, key = pk.pack, pk.key
+            terms = []
+            for m, c in self.terms.items():
+                e = pack(m)
+                terms.append((key(e), e, c))
+            terms.sort(reverse=True)  # keys are distinct, so only keys are compared
+            self._packed = terms
+        return terms
 
     def sorted_terms(self):
-        key = self.ring.order.key
-        return sorted(self.terms.items(), key=lambda mc: key(mc[0]), reverse=True)
+        """(exponent tuple, coefficient) pairs, leading term first."""
+        unpack = self.ring.packing.unpack
+        return [(unpack(e), c) for _, e, c in self.packed()]
 
     # -- arithmetic
 

@@ -1,6 +1,6 @@
 """The public surface stays consistent: every exported name exists, the
-package namespace imports cleanly, and no module imports a name it never
-uses."""
+package namespace imports cleanly, no module imports a name it never
+uses, and no module touches another module's private attributes."""
 
 import ast
 import importlib
@@ -92,3 +92,47 @@ def test_no_dead_privates(name):
     tree = ast.parse((SRC / f"{name}.py").read_text())
     used = _used_names(tree)
     assert sorted(n for n in _module_level_privates(tree) if n not in used) == []
+
+
+def _own_attributes(tree):
+    """Attribute names a module's classes define: methods, class-level
+    assignments, __slots__ entries and attributes assigned on self or cls."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                    yield from names
+                    if "__slots__" in names:
+                        for const in ast.walk(item.value):
+                            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                                yield const.value
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("self", "cls")
+        ):
+            yield node.attr
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_foreign_private_attributes(name):
+    """A module reads or writes a private attribute only on self or cls, or
+    when one of its own classes defines that name: each class owns its
+    private state."""
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    own = set(_own_attributes(tree))
+    foreign = sorted(
+        f"line {node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        and node.attr not in own
+    )
+    assert foreign == []

@@ -284,6 +284,17 @@ def test_exponent_cap_holds_across_a_product(capsys):
     assert err == "error: exponent 510 at position 9 exceeds the limit of 255\n"
 
 
+def test_term_degree_cap_holds_across_variables(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "radmember", "--ring", "x,y", "--ideal", "x^255*y^255 - 1", "--poly", "x*y - 1",
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: term degree 510 at position 9 exceeds the limit of 255\n"
+
+
 @pytest.mark.parametrize(
     "ideal, message",
     [
@@ -330,6 +341,8 @@ def test_parse_error_exit_2(capsys):
         ["orbit", "--space", "x,y", "--params", "a", "--act", "x+a*y,y",
          "--identity", "1/0", "--point", "1,2"],
         ["oracle", "background", "--primes", ","],
+        ["orbit", "--action", "shear-mat2", "--point", "1e100000,0,0,0"],
+        ["orbit", "--action", "shear-mat2", "--point", "1e10000000,0,0,0"],
     ],
 )
 def test_library_value_error_exit_2(capsys, argv):

@@ -266,6 +266,32 @@ def test_shear_census_frozen_values():
     assert census.sizes == {1: 9, 3: 24}
 
 
+def test_census_collects_the_stratum_in_its_pass():
+    spec = _shear_spec()
+    M = spec.space
+    stratum = vanishing(Ideal(M, [M.gen("a21"), M.gen("a22")]))
+    census = enumerate_orbits(spec, FpConfig(3), stratum=stratum)
+    assert census.stratum_points == census.fixed_points
+    assert len(census.stratum_points) == 9
+    assert enumerate_orbits(spec, FpConfig(3)).stratum_points == ()
+
+
+def test_cross_check_runs_its_census_through_enumerate_orbits(monkeypatch):
+    import dcoset.fforacle as fforacle
+
+    censuses = []
+
+    def counting(*args, **kwargs):
+        census = enumerate_orbits(*args, **kwargs)
+        censuses.append(census)
+        return census
+
+    monkeypatch.setattr(fforacle, "enumerate_orbits", counting)
+    report = cross_check("background", FpConfig(3))
+    assert [c.point_count for c in censuses] == [81]
+    assert all(c.status == "pass" for c in report.checks)
+
+
 @pytest.mark.parametrize("too_large", (False, True))
 def test_census_compares_the_whole_declared_stratum(too_large):
     """The stratum is read on every domain point, not only on the first

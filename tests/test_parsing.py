@@ -61,9 +61,21 @@ def test_exponent_cap(ring):
 def test_exponent_cap_counts_the_whole_term():
     R = RingCtx(("x", "y"))
     x, y = R.gens()
-    assert parse_poly("x^200*y*x^55", R) == x ** 255 * y
+    assert parse_poly("x^200*y*x^54", R) == x ** 254 * y
     with pytest.raises(ParseError, match="exponent 256 at position 9 exceeds the limit of 255"):
         parse_poly("x^200*x^56", R)
+
+
+def test_term_degree_cap():
+    R = RingCtx(("x", "y"))
+    x, y = R.gens()
+    assert parse_poly("x^128*y^127 + x^255 + y^255", R) == x ** 128 * y ** 127 + x ** 255 + y ** 255
+    with pytest.raises(ParseError) as info:
+        parse_poly("x^200*y*x^55", R)
+    assert str(info.value) == "term degree 256 at position 11 exceeds the limit of 255"
+    with pytest.raises(ParseError) as info:
+        parse_poly("1 + x^255*y", R)
+    assert str(info.value) == "term degree 256 at position 11 exceeds the limit of 255"
 
 
 def test_overlong_exponent_is_refused_before_conversion(ring):
@@ -135,6 +147,25 @@ def test_parse_point():
         parse_point("1,2", 3)
     with pytest.raises(ParseError):
         parse_point("1,zebra,3", 3)
+    assert parse_point(" +2 , -0/5 ,- 7 / 14", 3) == (2, 0, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1e100000,0", "bad coordinate '1e100000' at position 1: expected an integer or a fraction such as -3/2"),
+        ("0, 1.5", "bad coordinate '1.5' at position 4: expected an integer or a fraction such as -3/2"),
+        ("0,1_000", "bad coordinate '1_000' at position 3: expected an integer or a fraction such as -3/2"),
+        ("0,1 2", "bad coordinate '1 2' at position 3: expected an integer or a fraction such as -3/2"),
+        ("0,", "bad coordinate '' at position 3: expected an integer or a fraction such as -3/2"),
+        ("1/0,2", "syntax error at position 3: zero denominator"),
+        ("0,-" + "9" * 4301, "integer with 4301 digits at position 4 exceeds the limit of 4300 digits"),
+    ],
+)
+def test_parse_point_accepts_only_rationals(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_point(text, 2)
+    assert str(info.value) == message
 
 
 _R = RingCtx(("x", "y", "z"))
