@@ -10,12 +10,17 @@ Buchberger's first criterion, so the audit certifies a Groebner basis all
 the same; and each input generator is checked to reduce to zero, so the
 basis generates at least the input ideal.
 
-The engine runs on the ring's packed monomials (see `polyring.Packing`):
-a monomial product is an int addition, the key of a product the sum of the
-keys, divisibility one mask test.  Division takes the largest remaining
-term from a heap of negated int order keys (heap-driven division, after
-Monagan and Pearce).  An exponent reaching `EXPONENT_LIMIT` raises
-`ValueError`.
+The engine runs on the ring's packed monomials (see `polyring.Packing`)
+and on int coefficients.  A monomial product is an int addition, the key
+of a product the sum of the keys, divisibility one mask test.  Every
+polynomial the engine keeps is primitive, and division is fraction-free
+pseudo-division (as in Gebauer and Möller, and Traverso): it scales the
+remainder by a leading coefficient's cofactor instead of dividing by it,
+taking the largest remaining term from a heap of negated int order keys
+(after Monagan and Pearce).  `Fraction` appears only at the edges: inputs
+are made primitive on entry, a basis leaves monic over Q once, at the exit
+of `groebner_basis`, and `normal_form` divides out the scale it applied.
+An exponent reaching `EXPONENT_LIMIT` raises `ValueError`.
 
 Every comparison uses the order of the ring the polynomials live in; to
 compute under another order, build the ideal over a ring carrying it.
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .polyring import (
@@ -58,9 +64,6 @@ __all__ = [
     "fresh_var",
 ]
 
-_ONE = Fraction(1)
-
-
 class Ideal:
     """A finitely generated ideal, with its reduced basis cached."""
 
@@ -88,17 +91,19 @@ class Ideal:
 
 
 # The engine works on leading-first lists of (key, exp, coeff) triples:
-# exp is the ring's packed exponent vector and key its order key.
-# Polynomials are converted at the entry and exit of the public functions,
-# by `Polynomial.packed` and `Polynomial.from_packed`.
+# exp is the packed exponent vector, key its order key and coeff an int; a
+# list is primitive when its coeffs have gcd 1 and the first is positive.
 
 
-def _monic(terms: list) -> list:
-    lc = terms[0][2]
-    if lc == 1:
-        return terms
-    inv = _ONE / lc
-    return [(k, e, c * inv) for k, e, c in terms]
+def _primitive(terms: list) -> list:
+    """The primitive list that is a rational multiple of a nonzero
+    leading-first list with rational or int coefficients."""
+    if len(terms) == 1:
+        return [(terms[0][0], terms[0][1], 1)]
+    den = lcm(*[c.denominator for _, _, c in terms])
+    ints = [c.numerator * (den // c.denominator) for _, _, c in terms]
+    g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+    return [(k, e, n // g) for (k, e, _), n in zip(terms, ints)]
 
 
 # Every exponent vector the engine forms is a sum of two vectors below
@@ -108,9 +113,9 @@ def _monic(terms: list) -> list:
 
 
 def _divisor(terms: list) -> tuple:
-    """(lm, key(lm), lc, tail) for reducing by terms; lc is None if 1."""
+    """(lm, key(lm), lc, tail) for reducing by a primitive list."""
     key, lm, lc = terms[0]
-    return lm, key, None if lc == 1 else lc, terms[1:]
+    return lm, key, lc, terms[1:]
 
 
 def _overflow():
@@ -119,18 +124,17 @@ def _overflow():
     )
 
 
-def _spoly(fd: tuple, gd: tuple, lcm: int, lcm_key: int, over: int) -> list:
-    """S-polynomial of two divisor records whose leading monomials have
-    the given lcm, as a leading-first list."""
+def _spoly(fd: tuple, gd: tuple, top: int, top_key: int, over: int) -> list:
+    """lcm(a, b) times the S-polynomial of two divisor records with leading
+    coefficients a and b and leading monomials of lcm top, as an int list."""
+    a, b = fd[2], gd[2]
+    g = gcd(a, b)
     out = {}
-    for (lm, key, lc, tail), negate in ((fd, False), (gd, True)):
-        shift = lcm - lm
-        dk = lcm_key - key
+    for (lm, key, _, tail), factor in ((fd, b // g), (gd, -(a // g))):
+        shift = top - lm
+        dk = top_key - key
         for k, e, c in tail:
-            if lc is not None:
-                c = c / lc
-            if negate:
-                c = -c
+            c *= factor
             k += dk
             old = out.get(k)
             if old is None:
@@ -152,20 +156,23 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of the zero polynomial is undefined")
     pk = f.ring.packing
-    fd = _divisor(f.packed())
-    gd = _divisor(g.packed())
-    lcm = pk.lcm(fd[0], gd[0])
-    return Polynomial.from_packed(f.ring, _spoly(fd, gd, lcm, pk.key(lcm), pk.over))
+    fd, gd = (_divisor(_primitive(p.packed())) for p in (f, g))
+    top = pk.lcm(fd[0], gd[0])
+    s = _spoly(fd, gd, top, pk.key(top), pk.over)
+    scale = lcm(fd[2], gd[2])
+    return Polynomial.from_packed(f.ring, [(k, e, Fraction(c, scale)) for k, e, c in s])
 
 
-def _reduce(terms: list, divisors: Sequence[tuple], pk) -> list:
-    """Remainder of a leading-first list modulo divisor records.
-
-    A heap of negated keys yields the largest remaining term first; a term
-    that cancels is left in the heap and skipped when popped.
+def _reduce(terms: list, divisors: Sequence[tuple], pk) -> tuple:
+    """(r, λ) with r the remainder of λ·terms modulo divisor records, by
+    pseudo-division: before a divisor with leading coefficient a reduces a
+    term c·m, the working terms and the remainder are scaled by a/gcd(a, c),
+    and λ is the product of those scales.  A heap of negated keys yields the
+    largest remaining term first; a term that cancels is left in the heap
+    and skipped when popped.
     """
     if not terms or not divisors:
-        return terms
+        return terms, 1
     guard, over = pk.guard, pk.over
     lms = [d[0] for d in divisors]
     work = {}
@@ -175,6 +182,7 @@ def _reduce(terms: list, divisors: Sequence[tuple], pk) -> list:
         exps[-k] = e
     heap = list(work)  # leading-first terms give ascending negated keys: a heap
     out = []
+    lam = 1
     while heap:
         nk = heappop(heap)
         c = work.pop(nk, None)
@@ -185,9 +193,15 @@ def _reduce(terms: list, divisors: Sequence[tuple], pk) -> list:
             shift = m - lm
             if shift & guard:
                 continue  # lm does not divide m
-            _, lk, lc, tail = divisors[i]
+            _, lk, a, tail = divisors[i]
             nshift = nk + lk  # the shift's negated key
-            factor = -c if lc is None else -c / lc
+            g = gcd(a, c)
+            s = a // g
+            if s != 1:
+                lam *= s
+                work = {mk: v * s for mk, v in work.items()}
+                out = [(k, e, v * s) for k, e, v in out]
+            factor = -(c // g)
             for bk, bm, bc in tail:
                 mk = nshift - bk
                 old = work.get(mk)
@@ -207,7 +221,7 @@ def _reduce(terms: list, divisors: Sequence[tuple], pk) -> list:
             break
         else:
             out.append((-nk, m, c))
-    return out
+    return out, lam
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
@@ -221,8 +235,11 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
             raise ValueError(f"basis element {b!r} is in {b.ring!r}, not in {f.ring!r}")
     if f.is_zero() or not basis:
         return f
-    divisors = [_divisor(b.packed()) for b in basis]
-    return Polynomial.from_packed(f.ring, _reduce(f.packed(), divisors, f.ring.packing))
+    divisors = [_divisor(_primitive(b.packed())) for b in basis]
+    terms = _primitive(f.packed())
+    r, lam = _reduce(terms, divisors, f.ring.packing)
+    scale = Fraction(f.packed()[0][2], terms[0][2] * lam)  # content(f)/λ
+    return Polynomial.from_packed(f.ring, [(k, e, scale * c) for k, e, c in r])
 
 
 def _chain_skip(i, j, lcm_ij, lms, pending, guard) -> bool:
@@ -241,7 +258,7 @@ def _chain_skip(i, j, lcm_ij, lms, pending, guard) -> bool:
 
 
 def _buchberger(gens: Sequence[list], pk) -> list:
-    basis = [_monic(g) for g in gens if g]
+    basis = [_primitive(g) for g in gens if g]
     divisors = [_divisor(g) for g in basis]
     lms = [d[0] for d in divisors]
     # each pair is keyed once, as (key(lcm), i, j, lcm): the heap pops the
@@ -252,8 +269,8 @@ def _buchberger(gens: Sequence[list], pk) -> list:
 
     def add_pairs(k):
         for m in range(k):
-            lcm = pk.lcm(lms[m], lms[k])
-            heappush(heap, (pk.key(lcm), m, k, lcm))
+            top = pk.lcm(lms[m], lms[k])
+            heappush(heap, (pk.key(top), m, k, top))
             pending.add((m, k))
 
     for k in range(len(basis)):
@@ -265,10 +282,10 @@ def _buchberger(gens: Sequence[list], pk) -> list:
             continue  # coprime leading terms: S-poly reduces to zero
         if _chain_skip(i, j, lcm_ij, lms, pending, pk.guard):
             continue
-        h = _reduce(_spoly(divisors[i], divisors[j], lcm_ij, lcm_key, pk.over), divisors, pk)
+        h = _reduce(_spoly(divisors[i], divisors[j], lcm_ij, lcm_key, pk.over), divisors, pk)[0]
         if not h:
             continue
-        h = _monic(h)
+        h = _primitive(h)
         basis.append(h)
         divisors.append(_divisor(h))
         lms.append(h[0][1])
@@ -295,7 +312,7 @@ def _reduced_basis(basis: list, pk) -> list:
     for i in range(len(kept)):
         others = divisors[:i] + divisors[i + 1 :]
         if others:
-            kept[i] = _monic(_reduce(kept[i], others, pk))
+            kept[i] = _primitive(_reduce(kept[i], others, pk)[0])
             divisors[i] = _divisor(kept[i])
     kept.sort(reverse=True)  # by leading key, which is distinct
     return kept
@@ -303,30 +320,31 @@ def _reduced_basis(basis: list, pk) -> list:
 
 def _assert_fixed_point(basis: Sequence[Polynomial], generators: Sequence[Polynomial] = ()):
     """Certify that basis is a Groebner basis of an ideal containing the
-    generators: every S-polynomial and every generator reduces to zero."""
+    generators: every S-polynomial and every generator reduces to zero.
+    Its int divisors come from basis itself, never from the engine."""
     polys = (*basis, *generators)
     if not polys:
         return
     pk = polys[0].ring.packing
-    divisors = [_divisor(b.packed()) for b in basis]
+    divisors = [_divisor(_primitive(b.packed())) for b in basis]
     lms = [d[0] for d in divisors]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             # Buchberger's first criterion: an S-polynomial of a pair with
             # coprime leading monomials always reduces to zero, so basis is
             # a Groebner basis iff every other pair's S-polynomial does
-            lcm = pk.lcm(lms[i], lms[j])
-            if lcm == lms[i] + lms[j]:
+            top = pk.lcm(lms[i], lms[j])
+            if top == lms[i] + lms[j]:
                 continue
-            s = _spoly(divisors[i], divisors[j], lcm, pk.key(lcm), pk.over)
-            if _reduce(s, divisors, pk):
+            s = _spoly(divisors[i], divisors[j], top, pk.key(top), pk.over)
+            if _reduce(s, divisors, pk)[0]:
                 raise AssertionError(
                     f"S-polynomial of basis elements {i} and {j} does not reduce to zero"
                 )
     # modulo a Groebner basis, a zero remainder proves membership: the
     # basis generates the input ideal or a larger one
     for n, g in enumerate(generators):
-        if _reduce(g.packed(), divisors, pk):
+        if _reduce(_primitive(g.packed()), divisors, pk)[0]:
             raise AssertionError(f"generator {n} does not reduce to zero modulo the basis")
 
 
@@ -344,7 +362,8 @@ def groebner_basis(ideal: Ideal):
     ring = ideal.ring
     gens = [g.packed() for g in ideal.generators]
     reduced = _reduced_basis(_buchberger(gens, ring.packing), ring.packing)
-    basis = tuple(Polynomial.from_packed(ring, b) for b in reduced)
+    monic = ([(k, e, Fraction(c, b[0][2])) for k, e, c in b] for b in reduced)
+    basis = tuple(Polynomial.from_packed(ring, b) for b in monic)
     _assert_fixed_point(basis, ideal.generators)
     ideal._gb[tag] = basis
     return basis

@@ -343,6 +343,8 @@ def test_parse_error_exit_2(capsys):
         ["oracle", "background", "--primes", ","],
         ["orbit", "--action", "shear-mat2", "--point", "1e100000,0,0,0"],
         ["orbit", "--action", "shear-mat2", "--point", "1e10000000,0,0,0"],
+        ["gb", "--ring", "x", "--ideal", "x^\u00b2"],
+        ["gb", "--ring", "x", "--ideal", "x^\u0663"],
     ],
 )
 def test_library_value_error_exit_2(capsys, argv):

@@ -175,6 +175,23 @@ def test_audit_catches_an_engine_that_drops_a_generator(monkeypatch):
         groebner_basis(Ideal(R, [x ** 2 - y, x * y - 1]))
 
 
+def test_audit_catches_an_engine_that_perturbs_a_coefficient(monkeypatch):
+    R = RingCtx(("x", "y"))
+    x, y = R.gens()
+    reduced_basis = groebner._reduced_basis
+
+    def doubled(basis, pk):
+        # the mutant doubles one tail coefficient of its first element
+        out = reduced_basis(basis, pk)
+        (k, e, c), *rest = out[0][1:]
+        out[0] = [out[0][0], (k, e, 2 * c), *rest]
+        return out
+
+    monkeypatch.setattr(groebner, "_reduced_basis", doubled)
+    with pytest.raises(AssertionError):
+        groebner_basis(Ideal(R, [x ** 2 - y, x * y - 1]))
+
+
 def test_exponents_at_the_packing_limit_are_refused():
     R = RingCtx(("x", "y"), LEX)
     x, y = R.gens()

@@ -286,3 +286,68 @@ def test_packed_operations_agree_with_tuples(case):
     assert pk.key(ptop) > pk.key(pa)
     with pytest.raises(ValueError, match="exponent"):
         pk.pack((EXPONENT_LIMIT,) + top[1:])
+
+
+# rational and bignum coefficients: denominators up to 9, numerators up to
+# 2^70, so the engine's entry clears denominators and divides out contents,
+# and its pseudo-division scales by leading coefficients other than 1
+
+
+def _rational_poly(rng, ring, max_terms):
+    p = ring.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.randint(0, 2) for _ in ring.vars)
+        num = rng.choice((-1, 1)) * rng.randint(1, 2**70)
+        p = p + ring.monomial(exps, Fraction(num, rng.randint(1, 9)))
+    return p
+
+
+@st.composite
+def _rational_ideals(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    ring = _ring(rng)
+    gens = [_rational_poly(rng, ring, 3) for _ in range(rng.randint(1, 3))]
+    return ring, gens
+
+
+@st.composite
+def _rational_pairs(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    ring = _ring(rng)
+    f, g = (_rational_poly(rng, ring, 4) for _ in range(2))
+    return (f, g) if not f.is_zero() and not g.is_zero() else (ring.one(), ring.one())
+
+
+@st.composite
+def _rational_reductions(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    ring = _ring(rng)
+    f = _rational_poly(rng, ring, 6)
+    # non-monic random generators, almost never a Groebner basis
+    gens = (_rational_poly(rng, ring, 3) for _ in range(rng.randint(1, 3)))
+    basis = [p for p in gens if not p.is_zero()]
+    return f, basis or [ring.monomial((0,) * ring.arity, Fraction(7, 3))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_ideals())
+def test_rational_reduced_bases_match_old_engine(case):
+    ring, gens = case
+    new = groebner_basis(Ideal(ring, gens))
+    old = _old_groebner_basis(gens, ring.order)
+    assert [g.terms for g in new] == [g.terms for g in old]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_reductions())
+def test_rational_remainders_match_old_normal_form(case):
+    f, basis = case
+    assert normal_form(f, basis).terms == _old_normal_form(f, basis, f.ring.order).terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_pairs())
+def test_spolynomials_match_old_engine(case):
+    f, g = case
+    key = _old_key(f.ring.order)
+    assert spolynomial(f, g).terms == _old_spolynomial(f, g, key).terms

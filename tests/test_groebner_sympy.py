@@ -87,6 +87,28 @@ def test_katsura3_lex_matches_sympy():
     _assert_matches_sympy(ring, gens, "lex")
 
 
+def test_katsura5_grevlex_matches_sympy():
+    # katsura-5 in u0..u5: a 22-element reduced basis, the largest input
+    # checked here
+    ring = RingCtx(tuple(f"u{i}" for i in range(6)), GREVLEX)
+    u = ring.gens()
+
+    def at(i):
+        return u[abs(i)] if abs(i) <= 5 else ring.zero()
+
+    gens = []
+    for m in range(5):
+        total = ring.zero()
+        for l in range(-5, 6):
+            total = total + at(l) * at(m - l)
+        gens.append(total - u[m])
+    linear = u[0]
+    for v in u[1:]:
+        linear = linear + 2 * v
+    gens.append(linear - 1)
+    _assert_matches_sympy(ring, gens, "grevlex")
+
+
 @pytest.mark.parametrize("order_name", ["lex", "grevlex"])
 def test_reduced_bases_match_sympy(order_name):
     order = {"lex": LEX, "grevlex": GREVLEX}[order_name]

@@ -123,6 +123,14 @@ def test_unexpected_character(ring):
         parse_poly("x1 @ x2", ring)
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff13"])
+def test_only_ascii_digits_are_digits(digit):
+    # a superscript two, an Arabic-Indic three and a fullwidth three are
+    # refused where they stand, not read as exponents
+    with pytest.raises(ParseError, match=f"position 3: unexpected character '{digit}'"):
+        parse_poly(f"x^{digit}", RingCtx(("x",)))
+
+
 def test_empty_input(ring):
     with pytest.raises(ParseError):
         parse_poly("", ring)
