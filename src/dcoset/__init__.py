@@ -35,7 +35,6 @@ from .groebner import (
     normal_form,
     radical_member,
     saturate,
-    spolynomial,
 )
 from .geometry import (
     ConstructibleSet,
@@ -44,7 +43,6 @@ from .geometry import (
     contains,
     contains_point,
     difference,
-    empty_set,
     intersection,
     is_empty,
     is_open_in,

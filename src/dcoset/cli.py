@@ -288,11 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def ring_opts(p, ideal=True):
+    def ring_opts(p):
         p.add_argument("--ring", required=True, help="comma-separated variable names")
         p.add_argument("--order", choices=("lex", "grevlex"), default="grevlex")
-        if ideal:
-            p.add_argument("--ideal", required=True, help="comma-separated generators")
+        p.add_argument("--ideal", required=True, help="comma-separated generators")
 
     p = sub.add_parser("gb", help="reduced Groebner basis of an ideal")
     ring_opts(p)

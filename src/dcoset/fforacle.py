@@ -39,7 +39,6 @@ __all__ = [
     "DEFAULT_PRIMES",
     "FpConfig",
     "GuardViolation",
-    "compile_poly",
     "set_pred_mod_p",
     "enumerate_image",
     "enumerate_orbits",
@@ -107,11 +106,6 @@ def _poly_source(poly: Polynomial, p: int) -> str:
 
 def _compile(body: str) -> Callable:
     return eval(f"lambda x: {body}", {"__builtins__": {}})
-
-
-def compile_poly(poly: Polynomial, p: int) -> Callable:
-    """Return an evaluator tuple-of-ints -> int for ``poly`` mod p."""
-    return _compile(f"({_poly_source(poly, p)}) % {p}")
 
 
 def _compile_map(polys, p: int) -> Callable:

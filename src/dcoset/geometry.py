@@ -5,7 +5,8 @@ All predicates are semantic: emptiness goes through radical membership
 (a piece is empty iff every generator of J vanishes on V(I)), equality and
 containment are mutual-difference checks, and closure saturates the carrier
 ideal by each excluded generator.  Nothing ever depends on which particular
-piece decomposition represents a set.
+piece decomposition represents a set, so pieces that are empty over the
+algebraic closure are kept and every predicate skips them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "LocallyClosedPiece",
     "ConstructibleSet",
     "whole_space",
-    "empty_set",
     "vanishing",
     "locally_closed",
     "union",
@@ -107,13 +107,6 @@ class ConstructibleSet:
         self.ring = ring
         self.pieces = tuple(ps)
 
-    def pruned(self) -> "ConstructibleSet":
-        """Drop pieces that are empty over the algebraic closure."""
-        keep = [p for p in self.pieces if not p.is_empty()]
-        if len(keep) == len(self.pieces):
-            return self
-        return ConstructibleSet(self.ring, keep)
-
     def __repr__(self):
         if not self.pieces:
             return "EmptySet"
@@ -126,10 +119,6 @@ class ConstructibleSet:
 
 def whole_space(ring: RingCtx) -> ConstructibleSet:
     return ConstructibleSet(ring, [LocallyClosedPiece(Ideal(ring, []), None)])
-
-
-def empty_set(ring: RingCtx) -> ConstructibleSet:
-    return ConstructibleSet(ring, [])
 
 
 def vanishing(ideal: Ideal) -> ConstructibleSet:
@@ -152,7 +141,7 @@ def _check_same_ambient(a: ConstructibleSet, b: ConstructibleSet):
 
 def union(a: ConstructibleSet, b: ConstructibleSet) -> ConstructibleSet:
     _check_same_ambient(a, b)
-    return ConstructibleSet(a.ring, a.pieces + b.pieces).pruned()
+    return ConstructibleSet(a.ring, a.pieces + b.pieces)
 
 
 def _intersect_pieces(p: LocallyClosedPiece, q: LocallyClosedPiece) -> LocallyClosedPiece:
@@ -171,7 +160,7 @@ def _intersect_pieces(p: LocallyClosedPiece, q: LocallyClosedPiece) -> LocallyCl
 def intersection(a: ConstructibleSet, b: ConstructibleSet) -> ConstructibleSet:
     _check_same_ambient(a, b)
     pieces = [_intersect_pieces(p, q) for p in a.pieces for q in b.pieces]
-    return ConstructibleSet(a.ring, pieces).pruned()
+    return ConstructibleSet(a.ring, pieces)
 
 
 def _complement_piece(piece: LocallyClosedPiece) -> ConstructibleSet:
@@ -180,7 +169,7 @@ def _complement_piece(piece: LocallyClosedPiece) -> ConstructibleSet:
     out = [LocallyClosedPiece(Ideal(ring, []), piece.carrier)]
     if piece.excluded is not None:
         out.append(LocallyClosedPiece(piece.excluded, None))
-    return ConstructibleSet(ring, out).pruned()
+    return ConstructibleSet(ring, out)
 
 
 def complement(a: ConstructibleSet) -> ConstructibleSet:
@@ -270,5 +259,5 @@ def is_open_in(subset: ConstructibleSet, ambient: ConstructibleSet) -> bool:
     if not contains(ambient, subset):
         raise ValueError("subset is not contained in the ambient set")
     rest = difference(ambient, subset)
-    closed_part = intersection(vanishing(closure(rest)), ambient)
-    return same_set(rest, closed_part)
+    # rest ⊆ closure(rest) ∩ ambient always, so they are equal iff closure(rest) misses subset
+    return is_empty(intersection(vanishing(closure(rest)), subset))

@@ -49,7 +49,6 @@ from .polyring import (
 
 __all__ = [
     "Ideal",
-    "spolynomial",
     "normal_form",
     "groebner_basis",
     "ideal_member",
@@ -149,18 +148,6 @@ def _spoly(fd: tuple, gd: tuple, top: int, top_key: int, over: int) -> list:
                 else:
                     del out[k]
     return sorted(((k, e, c) for k, (e, c) in out.items()), reverse=True)
-
-
-def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S(f, g) = (L/lt f)·f - (L/lt g)·g with L = lcm of the leading monomials."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("S-polynomial of the zero polynomial is undefined")
-    pk = f.ring.packing
-    fd, gd = (_divisor(_primitive(p.packed())) for p in (f, g))
-    top = pk.lcm(fd[0], gd[0])
-    s = _spoly(fd, gd, top, pk.key(top), pk.over)
-    scale = lcm(fd[2], gd[2])
-    return Polynomial.from_packed(f.ring, [(k, e, Fraction(c, scale)) for k, e, c in s])
 
 
 def _reduce(terms: list, divisors: Sequence[tuple], pk) -> tuple:

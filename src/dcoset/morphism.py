@@ -16,7 +16,6 @@ coordinate pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .polyring import (
@@ -175,46 +174,15 @@ class SectionSpec:
         variables followed by any witness variables.
     section:
         map from the stratum ring to the source of the original map.
-    witness_constraints:
-        ideal on the stratum ring tying witness variables to the target
-        coordinates.  Every generator must have the unit-witness shape
-        u*g - 1 with u a witness variable and g free of witnesses, which
-        lets solvability be certified by checking g never vanishes on the
-        stratum.
+    witnesses:
+        pairs (u, g) on the stratum ring, u a witness variable and g free of
+        witnesses, each adding the constraint u*g - 1 = 0; solvability is
+        certified by checking that g never vanishes on the stratum.
     """
 
     stratum: ConstructibleSet
     section: PolyMap
-    witness_constraints: Ideal
-
-
-def _split_unit_witness(gen: Polynomial, witness_vars: set, ring: RingCtx):
-    """Decompose gen as u*g - 1; return (u, g) or None if not of that shape."""
-    # candidate witness variables actually appearing in the generator
-    used = [v for v in gen.variables_used() if v in witness_vars]
-    if len(used) != 1:
-        return None
-    u = used[0]
-    ui = ring.index(u)
-    g_terms = {}
-    const_ok = False
-    for m, c in gen.terms.items():
-        if m[ui] == 1:
-            reduced = tuple(0 if i == ui else e for i, e in enumerate(m))
-            g_terms[reduced] = c
-        elif m[ui] == 0:
-            if sum(m) == 0 and c == Fraction(-1):
-                const_ok = True
-            else:
-                return None
-        else:
-            return None
-    if not const_ok or not g_terms:
-        return None
-    g = Polynomial(ring, g_terms)
-    if any(v in witness_vars for v in g.variables_used()):
-        return None
-    return u, g
+    witnesses: tuple = ()
 
 
 def verify_section(f: PolyMap, domain: ConstructibleSet, spec: SectionSpec) -> bool:
@@ -223,7 +191,7 @@ def verify_section(f: PolyMap, domain: ConstructibleSet, spec: SectionSpec) -> b
 
     Returns False when a membership or identity check fails; raises
     MalformedSectionError when the section data themselves are unusable
-    (wrong rings, witness constraints outside the supported shape, or a
+    (wrong rings, a witness pair outside the supported shape, or a
     witness denominator that can vanish on the stratum).
 
     Membership is certified piecewise: each stratum piece must land inside
@@ -235,28 +203,29 @@ def verify_section(f: PolyMap, domain: ConstructibleSet, spec: SectionSpec) -> b
         raise MalformedSectionError("section must be defined on the stratum ring")
     if spec.section.target.vars != f.source.vars:
         raise MalformedSectionError("section must land in the source of the map")
-    if spec.witness_constraints.ring.vars != st_ring.vars:
-        raise MalformedSectionError("witness constraints must live on the stratum ring")
     target_vars = [v for v in f.target.vars if st_ring.has_var(v)]
     if tuple(target_vars) != f.target.vars:
         raise MalformedSectionError("stratum ring must contain every target variable")
     witness_vars = {v for v in st_ring.vars if not f.target.has_var(v)}
+    witness_gens = {st_ring.gen(v) for v in witness_vars}
 
-    # solvability of witnesses: each generator u*g - 1 needs g nonvanishing
-    # on the stratum
-    for gen in spec.witness_constraints.generators:
-        split = _split_unit_witness(gen, witness_vars, st_ring)
-        if split is None:
+    # solvability of witnesses: each u*g - 1 needs g nonvanishing on the stratum
+    for u, g in spec.witnesses:
+        if (
+            u not in witness_gens
+            or g.ring.vars != st_ring.vars
+            or witness_vars.intersection(g.variables_used())
+        ):
             raise MalformedSectionError(
-                f"witness constraint {gen} is not of the unit-witness form u*g - 1"
+                f"witness ({u}, {g}) is not a witness variable inverting a "
+                "witness-free polynomial on the stratum ring"
             )
-        _, g = split
         if not is_empty(intersection(spec.stratum, vanishing(Ideal(st_ring, [g])))):
             raise MalformedSectionError(
                 f"witness denominator {g} vanishes somewhere on the stratum"
             )
 
-    witness_ideal = Ideal(st_ring, spec.witness_constraints.generators)
+    witness_ideal = Ideal(st_ring, [u * g - 1 for u, g in spec.witnesses])
 
     # the section must land inside the domain wherever the stratum lives
     section_assignment = dict(zip(f.source.vars, spec.section.coords))

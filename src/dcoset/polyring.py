@@ -264,16 +264,10 @@ class RingCtx:
     def gens(self) -> tuple:
         return tuple(self.gen(v) for v in self.vars)
 
-    def monomial(self, exps: Mapping[str, int] | Sequence[int], coeff: Scalar = 1) -> "Polynomial":
-        if isinstance(exps, Mapping):
-            vec = [0] * self.arity
-            for name, e in exps.items():
-                vec[self.index(name)] = int(e)
-            exps = tuple(vec)
-        else:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.arity:
-                raise ValueError("exponent tuple has the wrong arity")
+    def monomial(self, exps: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != self.arity:
+            raise ValueError("exponent tuple has the wrong arity")
         if any(e < 0 for e in exps):
             raise ValueError("exponents must be nonnegative")
         c = as_rational(coeff)
@@ -550,38 +544,28 @@ def evaluate(p: Polynomial, point) -> Fraction:
     return total
 
 
-def substitute(p: Polynomial, assignment: Mapping[str, object], into: RingCtx | None = None) -> Polynomial:
+def substitute(p: Polynomial, assignment: Mapping[str, object], into: RingCtx) -> Polynomial:
     """Substitute rationals or polynomials for some variables of p.
 
     `assignment` maps variable names to scalars or to polynomials in the
-    target ring.  Variables left out must exist in the target ring, which
-    defaults to the ring of the first polynomial value, then to p's ring.
+    target ring `into`.  Variables left out must exist in the target ring.
     """
-    for name in assignment:
+    for name, v in assignment.items():
         if not p.ring.has_var(name):
             raise ValueError(f"unknown variable {name!r} in substitution")
-    target = into
-    if target is None:
-        for v in assignment.values():
-            if isinstance(v, Polynomial):
-                target = v.ring
-                break
-    if target is None:
-        target = p.ring
-    for name, v in assignment.items():
-        if isinstance(v, Polynomial) and v.ring.vars != target.vars:
+        if isinstance(v, Polynomial) and v.ring.vars != into.vars:
             raise RingMismatchError(
-                f"substitution value for {name!r} lives in {v.ring!r}, expected {target!r}"
+                f"substitution value for {name!r} lives in {v.ring!r}, expected {into!r}"
             )
     for name in p.ring.vars:
-        if name not in assignment and not target.has_var(name):
+        if name not in assignment and not into.has_var(name):
             raise ValueError(
                 f"variable {name!r} is not substituted and missing from the target ring"
             )
 
-    result = target.zero()
+    result = into.zero()
     for m, c in p.terms.items():
-        acc = target.const(c)
+        acc = into.const(c)
         for i, e in enumerate(m):
             if not e:
                 continue
@@ -591,9 +575,9 @@ def substitute(p: Polynomial, assignment: Mapping[str, object], into: RingCtx | 
                 if isinstance(v, Polynomial):
                     acc = acc * v**e
                 else:
-                    acc = acc * target.const(as_rational(v) ** e)
+                    acc = acc * into.const(as_rational(v) ** e)
             else:
-                acc = acc * target.gen(name) ** e
+                acc = acc * into.gen(name) ** e
             if acc.is_zero():
                 break
         result = result + acc

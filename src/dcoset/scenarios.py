@@ -293,17 +293,16 @@ def _quotient_core_checks(core, mutated: bool):
         sec1 = SectionSpec(
             stratum=locally_closed(zero4, Ideal(W4, [wb1])),
             section=PolyMap(W4, M, (W4.zero(), -wd * ww, wb1, wb2)),
-            witness_constraints=Ideal(W4, [ww * wb1 - 1]),
+            witnesses=((ww, wb1),),
         )
         sec2 = SectionSpec(
             stratum=locally_closed(zero4, Ideal(W4, [wb2])),
             section=PolyMap(W4, M, (wd * ww, W4.zero(), wb1, wb2)),
-            witness_constraints=Ideal(W4, [ww * wb2 - 1]),
+            witnesses=((ww, wb2),),
         )
         sec0 = SectionSpec(
             stratum=vanishing(Ideal(T, [b1, b2, d])),
             section=PolyMap(T, M, (T.zero(), T.zero(), T.zero(), T.zero())),
-            witness_constraints=Ideal(T, []),
         )
         ok1 = verify_section(inv_map, dom, sec1)
         ok2 = verify_section(inv_map, dom, sec2)
@@ -944,7 +943,6 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         sec = SectionSpec(
             stratum=whole_space(B2),
             section=PolyMap(B2, X4, (B2.zero(), b2, third_slot, b4)),
-            witness_constraints=Ideal(B2, []),
         )
         ok = verify_section(proj, cone, sec)
         return _ok(ok, f"section (0, b2, {format_poly(third_slot)}, b4) into the cone: {ok}")
@@ -953,7 +951,6 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         sec = SectionSpec(
             stratum=locally_closed(Ideal(B2, []), Ideal(B2, [b2, b4])),
             section=PolyMap(B2, X4, (B2.zero(), b2, B2.zero(), b4)),
-            witness_constraints=Ideal(B2, []),
         )
         ok = verify_section(proj, punctured_cone, sec)
         return _ok(ok, f"section over the punctured plane lands in the punctured cone: {ok}")

@@ -136,3 +136,40 @@ def test_no_foreign_private_attributes(name):
         and node.attr not in own
     )
     assert foreign == []
+
+
+def _references(tree, skip=None):
+    """Names a tree reads, as bare names or attributes, outside `skip`."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_public_function_has_a_caller():
+    """A function in some `__all__` that no other code in `src/dcoset` and
+    no benchmark reads is API that only tests use."""
+    trees = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in MODULES}
+    bench = SRC.parent.parent / "benchmarks"
+    outside = set()
+    for path in bench.glob("*.py"):
+        outside.update(_references(ast.parse(path.read_text())))
+    unused = []
+    for name, tree in trees.items():
+        module = importlib.import_module(f"dcoset.{name}")
+        defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        for attr in module.__all__:
+            if attr not in defs or attr in outside:
+                continue
+            if not any(
+                attr in _references(other, skip=defs[attr] if other is tree else None)
+                for other in trees.values()
+            ):
+                unused.append(f"{name}.{attr}")
+    assert unused == []

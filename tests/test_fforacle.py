@@ -27,7 +27,6 @@ from dcoset.fforacle import (
     _census_check,
     _compile_map,
     _poly_source,
-    compile_poly,
     cross_check,
     enumerate_image,
     enumerate_orbits,
@@ -36,6 +35,12 @@ from dcoset.fforacle import (
     set_pred_mod_p,
 )
 from dcoset.scenarios import CensusShadow, get_scenario, scenario_names
+
+
+def _compile_one(poly, p):
+    """Evaluator of one polynomial mod p, through the path `cross_check` uses."""
+    values = _compile_map([poly], p)
+    return lambda point: values(point)[0]
 
 
 def test_default_primes():
@@ -53,14 +58,14 @@ def test_fpconfig_requires_prime():
 def test_compile_poly_basic():
     R = RingCtx(("x", "y"))
     x, y = R.gens()
-    f = compile_poly(x * x - y + 2, 5)
+    f = _compile_one(x * x - y + 2, 5)
     assert f((3, 1)) == (9 - 1 + 2) % 5
     assert f((0, 2)) == 0
 
 
 def test_compile_poly_rational_coefficient():
     R = RingCtx(("x",))
-    f = compile_poly(Fraction(1, 2) * R.gen("x"), 5)
+    f = _compile_one(Fraction(1, 2) * R.gen("x"), 5)
     # 1/2 = 3 mod 5
     assert f((2,)) == 1
     assert f((1,)) == 3
@@ -69,7 +74,7 @@ def test_compile_poly_rational_coefficient():
 def test_guard_violation():
     R = RingCtx(("x",))
     with pytest.raises(GuardViolation):
-        compile_poly(Fraction(1, 3) * R.gen("x"), 3)
+        _compile_one(Fraction(1, 3) * R.gen("x"), 3)
     # the CLI reports every ValueError as one `error:` line with exit 2
     assert issubclass(GuardViolation, ValueError)
     assert issubclass(GuardViolation, ArithmeticError)
@@ -127,10 +132,10 @@ def test_compile_poly_matches_evaluate_mod_p(case):
     bad = [c for c in poly.terms.values() if c.denominator % p == 0]
     if bad:
         with pytest.raises(GuardViolation) as info:
-            compile_poly(poly, p)
+            _compile_one(poly, p)
         assert str(info.value) == f"coefficient {bad[0]} has denominator divisible by {p}"
         return
-    assert compile_poly(poly, p)(point) == _mod_p(evaluate(poly, point), p)
+    assert _compile_one(poly, p)(point) == _mod_p(evaluate(poly, point), p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,7 +144,7 @@ def test_compiled_map_matches_compile_poly(p, data):
     polys = data.draw(st.lists(_reducible_polys(p), max_size=4))
     point = data.draw(st.tuples(*[st.integers(0, p - 1)] * 3))
     values = _compile_map(polys, p)(point)
-    assert values == tuple(compile_poly(f, p)(point) for f in polys)
+    assert values == tuple(_mod_p(evaluate(f, point), p) for f in polys)
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,7 +192,7 @@ def test_compile_poly_handles_long_polynomials():
     terms[(1,) * 100] = Fraction(1)
     poly = Polynomial(ring, terms)
     point = tuple(i % 13 for i in range(100))
-    assert compile_poly(poly, 101)(point) == _mod_p(evaluate(poly, point), 101)
+    assert _compile_one(poly, 101)(point) == _mod_p(evaluate(poly, point), 101)
 
 
 def test_enumerate_image_parabola():

@@ -1,15 +1,16 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from dcoset.polyring import RingCtx
-from dcoset.groebner import Ideal
+from dcoset.groebner import Ideal, equal_ideals, ideal_product
 from dcoset.geometry import (
+    ConstructibleSet,
     closure,
     contains,
     contains_point,
     difference,
-    empty_set,
     intersection,
     is_empty,
     is_open_in,
@@ -19,6 +20,8 @@ from dcoset.geometry import (
     vanishing,
     whole_space,
 )
+from dcoset.fforacle import set_pred_mod_p
+from dcoset.scenarios import _shear_core
 
 
 @pytest.fixture
@@ -28,7 +31,7 @@ def xy():
 
 def test_whole_and_empty(xy):
     assert not is_empty(whole_space(xy))
-    assert is_empty(empty_set(xy))
+    assert is_empty(ConstructibleSet(xy))
     assert is_empty(vanishing(Ideal(xy, [xy.one()])))
 
 
@@ -56,7 +59,7 @@ def test_closure_adds_boundary(xy):
 
 
 def test_closure_of_empty_is_empty(xy):
-    cl = closure(empty_set(xy))
+    cl = closure(ConstructibleSet(xy))
     assert is_empty(vanishing(cl))
 
 
@@ -101,6 +104,61 @@ def test_is_open_in_requires_containment(xy):
     x, y = xy.gens()
     with pytest.raises(ValueError):
         is_open_in(whole_space(xy), vanishing(Ideal(xy, [x])))
+
+
+def _open_by_containment(subset, ambient):
+    """Openness read as two containments: ambient minus subset equals its
+    own closure intersected with ambient."""
+    rest = difference(ambient, subset)
+    return same_set(rest, intersection(vanishing(closure(rest)), ambient))
+
+
+def test_is_open_in_matches_the_containment_formula(xy):
+    x, y = xy.gens()
+    plane = whole_space(xy)
+    off_y_axis = locally_closed(Ideal(xy, []), Ideal(xy, [x]))
+    core = _shear_core()
+    top = RingCtx(("x11", "x12", "x21", "x22"))
+    x11, x12, x21, x22 = top.gens()
+    good_tops = locally_closed(
+        Ideal(top, []), ideal_product(Ideal(top, [x11, x21]), Ideal(top, [x12, x22]))
+    )
+    cases = [
+        (off_y_axis, plane, True),
+        (vanishing(Ideal(xy, [x])), plane, False),
+        # multi-piece subsets: the plane minus the origin, and the plane minus
+        # the y-axis with the origin put back
+        (union(off_y_axis, locally_closed(Ideal(xy, []), Ideal(xy, [y]))), plane, True),
+        (union(off_y_axis, vanishing(Ideal(xy, [x, y]))), plane, False),
+        # inside the two axes, one axis is not open: they meet at the origin
+        (vanishing(Ideal(xy, [x])), vanishing(Ideal(xy, [x * y])), False),
+        (core["predicted"], whole_space(core["T"]), False),
+        (good_tops, whole_space(top), True),
+    ]
+    for subset, ambient, expected in cases:
+        assert is_open_in(subset, ambient) is expected
+        assert _open_by_containment(subset, ambient) is expected
+
+
+def test_set_algebra_keeps_empty_pieces_and_predicates_skip_them(xy):
+    x, y = xy.gens()
+    a = locally_closed(Ideal(xy, [x * y]), Ideal(xy, [x]))
+    # empty over the algebraic closure: (x^2 - 1)*y/3 vanishes wherever x^2 - 1 does
+    ghost = locally_closed(
+        Ideal(xy, [x ** 2 - 1]), Ideal(xy, [Fraction(1, 3) * (x ** 2 - 1) * y])
+    )
+    both = union(a, ghost)
+    assert both.pieces == a.pieces + ghost.pieces
+    assert ghost.pieces[0].is_empty()
+    assert is_empty(both) is is_empty(a) is False
+    assert is_empty(union(ConstructibleSet(xy), ghost))
+    assert same_set(both, a) and same_set(a, both)
+    assert equal_ideals(closure(both), closure(a))
+    for pt in itertools.product(range(-3, 4), repeat=2):
+        assert contains_point(both, pt) == contains_point(a, pt)
+    for p in (5, 7):  # no denominator of the pieces is divisible by p
+        in_both, in_a = set_pred_mod_p(both, p), set_pred_mod_p(a, p)
+        assert all(in_both(pt) == in_a(pt) for pt in itertools.product(range(p), repeat=2))
 
 
 def test_same_set_is_representation_independent(xy):

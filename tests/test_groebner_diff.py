@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcoset.groebner import Ideal, groebner_basis, normal_form, spolynomial
+from dcoset.groebner import Ideal, groebner_basis, normal_form
 from dcoset.polyring import (
     GREVLEX,
     LEX,
@@ -311,14 +311,6 @@ def _rational_ideals(draw):
 
 
 @st.composite
-def _rational_pairs(draw):
-    rng = draw(st.randoms(use_true_random=False))
-    ring = _ring(rng)
-    f, g = (_rational_poly(rng, ring, 4) for _ in range(2))
-    return (f, g) if not f.is_zero() and not g.is_zero() else (ring.one(), ring.one())
-
-
-@st.composite
 def _rational_reductions(draw):
     rng = draw(st.randoms(use_true_random=False))
     ring = _ring(rng)
@@ -343,11 +335,3 @@ def test_rational_reduced_bases_match_old_engine(case):
 def test_rational_remainders_match_old_normal_form(case):
     f, basis = case
     assert normal_form(f, basis).terms == _old_normal_form(f, basis, f.ring.order).terms
-
-
-@settings(max_examples=300, deadline=None)
-@given(_rational_pairs())
-def test_spolynomials_match_old_engine(case):
-    f, g = case
-    key = _old_key(f.ring.order)
-    assert spolynomial(f, g).terms == _old_spolynomial(f, g, key).terms

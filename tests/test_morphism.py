@@ -108,7 +108,7 @@ def test_verify_section_good(shear_map):
     sec = SectionSpec(
         stratum=locally_closed(Ideal(W, []), Ideal(W, [b1])),
         section=PolyMap(W, M, (W.zero(), -d * w, b1, b2)),
-        witness_constraints=Ideal(W, [w * b1 - 1]),
+        witnesses=((w, b1),),
     )
     assert verify_section(shear_map, whole_space(M), sec)
 
@@ -120,7 +120,7 @@ def test_verify_section_wrong_formula(shear_map):
     sec = SectionSpec(
         stratum=locally_closed(Ideal(W, []), Ideal(W, [b1])),
         section=PolyMap(W, M, (W.zero(), d * w, b1, b2)),  # sign flipped
-        witness_constraints=Ideal(W, [w * b1 - 1]),
+        witnesses=((w, b1),),
     )
     assert not verify_section(shear_map, whole_space(M), sec)
 
@@ -129,13 +129,15 @@ def test_verify_section_rejects_non_unit_witness(shear_map):
     M = shear_map.source
     W = RingCtx(("b1", "b2", "d", "w"))
     b1, b2, d, w = W.gens()
-    sec = SectionSpec(
-        stratum=locally_closed(Ideal(W, []), Ideal(W, [b1])),
-        section=PolyMap(W, M, (W.zero(), -d * w, b1, b2)),
-        witness_constraints=Ideal(W, [w ** 2 * b1 - 1]),
-    )
-    with pytest.raises(MalformedSectionError):
-        verify_section(shear_map, whole_space(M), sec)
+    # w inverting a polynomial that uses w, and a target coordinate as u
+    for witness in ((w, w * b1), (b1, w)):
+        sec = SectionSpec(
+            stratum=locally_closed(Ideal(W, []), Ideal(W, [b1])),
+            section=PolyMap(W, M, (W.zero(), -d * w, b1, b2)),
+            witnesses=(witness,),
+        )
+        with pytest.raises(MalformedSectionError, match="not a witness variable"):
+            verify_section(shear_map, whole_space(M), sec)
 
 
 def test_verify_section_rejects_unsolvable_witness(shear_map):
@@ -145,7 +147,7 @@ def test_verify_section_rejects_unsolvable_witness(shear_map):
     sec = SectionSpec(
         stratum=vanishing(Ideal(W, [b1])),  # w*b1 - 1 has no solution here
         section=PolyMap(W, M, (W.zero(), -d * w, b1, b2)),
-        witness_constraints=Ideal(W, [w * b1 - 1]),
+        witnesses=((w, b1),),
     )
     with pytest.raises(MalformedSectionError):
         verify_section(shear_map, whole_space(M), sec)
