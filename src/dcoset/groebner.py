@@ -1,14 +1,15 @@
 """Buchberger's algorithm and the ideal operations built on it.
 
-The pipeline is deliberately deterministic: pairs wait on a heap keyed once
-by the order key of their lcm, so the pair of smallest lcm is taken first
-with ties broken by index; every computed basis is interreduced to the
-unique reduced monic basis and sorted by leading monomial; and after every
-run the result is audited: each S-polynomial is checked to reduce to zero,
-except for pairs with coprime leading monomials, which reduce to zero by
-Buchberger's first criterion, so the audit certifies a Groebner basis all
-the same; and each input generator is checked to reduce to zero, so the
-basis generates at least the input ideal.
+The pipeline is deliberately deterministic.  Gebauer and Möller's update
+step (J. Symb. Comp. 6, 1988) keeps only the needed pairs, on a heap keyed
+by the order key of their lcm: the smallest is taken first, ties broken by
+index.  Every basis is interreduced to the unique reduced monic basis,
+sorted by leading monomial, then audited: the same update step, run on the
+basis's leading monomials alone, picks pairs whose syzygies (with those of
+the coprime pairs) generate all leading-term syzygies, and each of their
+S-polynomials must reduce to zero, which certifies a Groebner basis; and
+each input generator must reduce to zero, so the basis generates at least
+the input ideal.
 
 The engine runs on the ring's packed monomials (see `polyring.Packing`)
 and on int coefficients.  A monomial product is an int addition, the key
@@ -64,7 +65,7 @@ __all__ = [
 ]
 
 class Ideal:
-    """A finitely generated ideal, with its reduced basis cached."""
+    """A finitely generated ideal; each order's reduced basis is cached with its divisors."""
 
     __slots__ = ("ring", "generators", "_gb")
 
@@ -229,45 +230,55 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return Polynomial.from_packed(f.ring, [(k, e, scale * c) for k, e, c in r])
 
 
-def _chain_skip(i, j, lcm_ij, lms, pending, guard) -> bool:
-    # Buchberger's second criterion: some k with lt(k) | lcm(i,j) whose
-    # pairs with both i and j were already handled
-    for k in range(len(lms)):
-        if k == i or k == j:
-            continue
-        if (lcm_ij - lms[k]) & guard:
-            continue
-        p1 = (i, k) if i < k else (k, i)
-        p2 = (j, k) if j < k else (k, j)
-        if p1 not in pending and p2 not in pending:
-            return True
-    return False
+def _update(pairs: dict, live: list, lms: list, h: int, pk) -> list:
+    """Gebauer and Möller's update step for a new element h.  `pairs` maps
+    each waiting pair (i, j), i < j, to its heap entry (key(lcm), i, j, lcm);
+    `live` lists the elements that still take new pairs.  Criterion B drops
+    the waiting pairs that h's pairs replace; of h's pairs with `live`, M
+    drops those whose lcm another's divides properly, F keeps one per lcm,
+    and no coprime pair is kept.  Then `live` loses the elements whose
+    leading monomial lms[h] divides, and gains h.  Returns the new entries."""
+    guard, m, lcm = pk.guard, lms[h], pk.lcm
+    # the tests for empty state pay on the small bases most calls see
+    if pairs:
+        for _, i, j, top in list(pairs.values()):
+            if not (top - m) & guard and top != lcm(lms[i], m) and top != lcm(lms[j], m):
+                del pairs[i, j]
+    # ascending packed lcms meet each proper divisor first, and coprime pairs
+    # first among equals; a pair goes when a met pair's lcm divides its own
+    new = []
+    if live:
+        met = []
+        for top, shared, i in sorted([(t := lcm(lms[i], m), t != lms[i] + m, i) for i in live]):
+            for t in met:
+                if not (top - t) & guard:
+                    break
+            else:
+                met.append(top)
+                if shared:
+                    pairs[i, h] = entry = (pk.key(top), i, h, top)
+                    new.append(entry)
+        live[:] = [i for i in live if (lms[i] - m) & guard]
+    live.append(h)
+    return new
 
 
 def _buchberger(gens: Sequence[list], pk) -> list:
     basis = [_primitive(g) for g in gens if g]
     divisors = [_divisor(g) for g in basis]
     lms = [d[0] for d in divisors]
-    # each pair is keyed once, as (key(lcm), i, j, lcm): the heap pops the
-    # pair of smallest lcm, ties broken by index; `pending` mirrors the heap
-    # for the chain criterion's membership test
-    heap = []
-    pending = set()
+    # the heap pops kept pairs by lcm, ties by index, skipping pruned ones
+    pairs, live, heap = {}, [], []
 
-    def add_pairs(k):
-        for m in range(k):
-            top = pk.lcm(lms[m], lms[k])
-            heappush(heap, (pk.key(top), m, k, top))
-            pending.add((m, k))
+    def add(h):
+        for entry in _update(pairs, live, lms, h, pk):
+            heappush(heap, entry)
 
-    for k in range(len(basis)):
-        add_pairs(k)
+    for h in range(len(basis)):
+        add(h)
     while heap:
         lcm_key, i, j, lcm_ij = heappop(heap)
-        pending.discard((i, j))
-        if lcm_ij == lms[i] + lms[j]:
-            continue  # coprime leading terms: S-poly reduces to zero
-        if _chain_skip(i, j, lcm_ij, lms, pending, pk.guard):
+        if pairs.pop((i, j), None) is None:
             continue
         h = _reduce(_spoly(divisors[i], divisors[j], lcm_ij, lcm_key, pk.over), divisors, pk)[0]
         if not h:
@@ -276,7 +287,7 @@ def _buchberger(gens: Sequence[list], pk) -> list:
         basis.append(h)
         divisors.append(_divisor(h))
         lms.append(h[0][1])
-        add_pairs(len(basis) - 1)
+        add(len(basis) - 1)
     return basis
 
 
@@ -305,34 +316,35 @@ def _reduced_basis(basis: list, pk) -> list:
     return kept
 
 
-def _assert_fixed_point(basis: Sequence[Polynomial], generators: Sequence[Polynomial] = ()):
+def _assert_fixed_point(basis: Sequence[Polynomial], generators: Sequence[Polynomial] = ()) -> list:
     """Certify that basis is a Groebner basis of an ideal containing the
-    generators: every S-polynomial and every generator reduces to zero.
-    Its int divisors come from basis itself, never from the engine."""
+    generators, and return its int divisor records, which come from basis
+    itself, never from the engine."""
     polys = (*basis, *generators)
     if not polys:
-        return
+        return []
     pk = polys[0].ring.packing
     divisors = [_divisor(_primitive(b.packed())) for b in basis]
     lms = [d[0] for d in divisors]
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            # Buchberger's first criterion: an S-polynomial of a pair with
-            # coprime leading monomials always reduces to zero, so basis is
-            # a Groebner basis iff every other pair's S-polynomial does
-            top = pk.lcm(lms[i], lms[j])
-            if top == lms[i] + lms[j]:
-                continue
-            s = _spoly(divisors[i], divisors[j], top, pk.key(top), pk.over)
-            if _reduce(s, divisors, pk)[0]:
-                raise AssertionError(
-                    f"S-polynomial of basis elements {i} and {j} does not reduce to zero"
-                )
+    # Gebauer and Möller's pairs for these leading monomials alone: with the
+    # coprime pairs, whose S-polynomials always reduce to zero, their
+    # syzygies generate every leading-term syzygy (Caboara, Kreuzer and
+    # Robbiano), so basis is a Groebner basis iff each of theirs reduces
+    pairs, live = {}, []
+    for h in range(len(lms)):
+        _update(pairs, live, lms, h, pk)
+    for key, i, j, top in sorted(pairs.values()):
+        s = _spoly(divisors[i], divisors[j], top, key, pk.over)
+        if _reduce(s, divisors, pk)[0]:
+            raise AssertionError(
+                f"S-polynomial of basis elements {i} and {j} does not reduce to zero"
+            )
     # modulo a Groebner basis, a zero remainder proves membership: the
     # basis generates the input ideal or a larger one
     for n, g in enumerate(generators):
         if _reduce(_primitive(g.packed()), divisors, pk)[0]:
             raise AssertionError(f"generator {n} does not reduce to zero modulo the basis")
+    return divisors
 
 
 def groebner_basis(ideal: Ideal):
@@ -345,21 +357,24 @@ def groebner_basis(ideal: Ideal):
     tag = ideal.ring.order.tag()
     cached = ideal._gb.get(tag)
     if cached is not None:
-        return cached
+        return cached[0]
     ring = ideal.ring
     gens = [g.packed() for g in ideal.generators]
     reduced = _reduced_basis(_buchberger(gens, ring.packing), ring.packing)
     monic = ([(k, e, Fraction(c, b[0][2])) for k, e, c in b] for b in reduced)
     basis = tuple(Polynomial.from_packed(ring, b) for b in monic)
-    _assert_fixed_point(basis, ideal.generators)
-    ideal._gb[tag] = basis
+    # the audit's divisor records go with the basis, for ideal_member
+    ideal._gb[tag] = (basis, _assert_fixed_point(basis, ideal.generators))
     return basis
 
 
 def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
     if f.ring.vars != ideal.ring.vars:
         raise ValueError("polynomial and ideal live in different rings")
-    return normal_form(lift(f, ideal.ring), groebner_basis(ideal)).is_zero()
+    groebner_basis(ideal)
+    f = lift(f, ideal.ring)
+    divisors = ideal._gb[ideal.ring.order.tag()][1]
+    return f.is_zero() or not _reduce(_primitive(f.packed()), divisors, ideal.ring.packing)[0]
 
 
 def is_unit_ideal(ideal: Ideal) -> bool:
