@@ -136,6 +136,9 @@ def _oracle_primes(args) -> tuple:
         raise ValueError(f"bad prime list {args.primes!r}: {exc}") from None
     if not primes:
         raise ValueError(f"bad prime list {args.primes!r}: no primes given")
+    for i, p in enumerate(primes):
+        if p in primes[:i]:
+            raise ValueError(f"bad prime list {args.primes!r}: prime {p} is repeated")
     return primes
 
 

@@ -12,14 +12,16 @@ Rational coefficients are mapped to F_p via modular inverse of the
 denominator.  A denominator divisible by p has no image, so reduction
 raises :class:`GuardViolation` rather than produce a wrong answer.
 
-Evaluators are compiled, not interpreted: each polynomial becomes Python
-source such as ``3*x[0]*x[1]**2+4*x[2]``, and one ``lambda x: ...`` per
-polynomial, coordinate map or set predicate is built with ``eval``.  This
-is safe because the source is generated here from the reduced coefficients
-(ints below p), the variable indices and the exponents (ints), joined by
-``*``, ``+``, ``%``, comparisons and ``and``/``or``/``not``; no text from
-the caller reaches it, and it is evaluated without builtins.  Arithmetic
-stays in exact Python ints, reduced mod p once per polynomial.
+Enumerations are compiled, not interpreted: each one becomes a generated
+function, a sweep, that walks the stream of points itself, unpacks each
+into locals ``x0, x1, ...``, tests the domain, and counts the point and
+records its image or orbit inline, with every polynomial written as source
+such as ``(3*x0*x1**2+4*x2) % 5``.  This is safe because the source is
+generated here from the reduced coefficients (ints below p), the variable
+indices and the exponents (ints), joined by ``*``, ``+``, ``%``,
+comparisons and ``and``/``or``/``not`` in a fixed scaffold; no text from
+the caller reaches it, and it runs without builtins.  Arithmetic stays in
+exact Python ints, reduced mod p once per polynomial.
 """
 
 from __future__ import annotations
@@ -85,9 +87,15 @@ def _join(parts: list, op: str) -> str:
     return op.join(parts)
 
 
-def _poly_source(poly: Polynomial, p: int) -> str:
-    """Source of ``poly`` with coefficients reduced mod p, over a point ``x``,
-    e.g. ``3*x[0]*x[1]**2+4*x[2]``: made only of ints and indices."""
+def _names(var: str, indices) -> str:
+    """``x0, x1, ``: the generated locals holding one point's coordinates."""
+    return "".join(f"{var}{i}, " for i in indices)
+
+
+def _poly_source(poly: Polynomial, p: int, var: str = "x") -> str:
+    """Source of the value of ``poly`` in range(p) over the locals ``x0, x1,
+    ...``, which hold ints in range(p), e.g. ``(3*x0*x1**2+4*x2) % 5``:
+    made only of ints and names.  A lone name or int needs no ``% p``."""
     terms = []
     for exps, coeff in poly.terms.items():
         den = coeff.denominator % p
@@ -97,38 +105,62 @@ def _poly_source(poly: Polynomial, p: int) -> str:
             )
         c = coeff.numerator * pow(den, -1, p) % p
         if c:
-            factors = [f"x[{i}]**{e}" if e > 1 else f"x[{i}]" for i, e in enumerate(exps) if e]
+            factors = [f"{var}{i}**{e}" if e > 1 else f"{var}{i}" for i, e in enumerate(exps) if e]
             if c != 1 or not factors:
                 factors.insert(0, str(c))
             terms.append(_join(factors, "*"))
-    return _join(terms, "+") or "0"
+    src = _join(terms, "+") or "0"
+    return src if src.isalnum() else f"({src}) % {p}"
 
 
-def _compile(body: str) -> Callable:
-    return eval(f"lambda x: {body}", {"__builtins__": {}})
+def _tuple_source(polys, p: int) -> str:
+    return f"({''.join(f'{_poly_source(f, p)}, ' for f in polys)})"
 
 
-def _compile_map(polys, p: int) -> Callable:
-    """Evaluator tuple-of-ints -> tuple of the values of ``polys`` mod p."""
-    coords = "".join(f"({_poly_source(f, p)}) % {p}, " for f in polys)
-    return _compile(f"({coords})")
+def _compile(source: str) -> Callable:
+    """The one function ``source`` defines, run without builtins."""
+    namespace = {}
+    exec(source, {"__builtins__": {}}, namespace)
+    return namespace.popitem()[1]
 
 
-def _vanish_source(gens, p: int) -> str:
-    return " and ".join(f"({_poly_source(g, p)}) % {p} == 0" for g in gens) or "True"
+def _vanish_source(gens, p: int, var: str = "x") -> str:
+    return " and ".join(f"{_poly_source(g, p, var)} == 0" for g in gens) or "True"
+
+
+def _set_source(s: ConstructibleSet | None, p: int, var: str = "x") -> str:
+    """A point lies in V(I) minus V(J) when every generator of I vanishes
+    there and some generator of J does not; None is the whole space."""
+    if s is None:
+        return "True"
+    pieces = []
+    for piece in s.pieces:
+        clause = _vanish_source(piece.carrier.generators, p, var)
+        if piece.excluded is not None:
+            clause += f" and not ({_vanish_source(piece.excluded.generators, p, var)})"
+        pieces.append(f"({clause})")
+    return " or ".join(pieces) or "False"
 
 
 def set_pred_mod_p(s: ConstructibleSet, p: int) -> Callable:
-    """Membership predicate for the F_p-points of a constructible set: a
-    point lies in V(I) minus V(J) when every generator of I vanishes there
-    and some generator of J does not."""
-    pieces = []
-    for piece in s.pieces:
-        clause = _vanish_source(piece.carrier.generators, p)
-        if piece.excluded is not None:
-            clause += f" and not ({_vanish_source(piece.excluded.generators, p)})"
-        pieces.append(f"({clause})")
-    return _compile(" or ".join(pieces) or "False")
+    """Membership predicate for the F_p-points of a constructible set, given
+    as tuples of ints in range(p)."""
+    xs = _names("x", range(s.ring.arity))
+    return _compile(f"def member(x):\n [{xs}] = x\n return {_set_source(s, p)}")
+
+
+def _sweep(arity: int, test: str, body: str, args: str) -> Callable:
+    """Compile one pass over F_p^arity: ``sweep(P, *args)`` walks the point
+    stream P, unpacks each point ``x`` into the locals ``x0, x1, ...``, runs
+    ``body`` on the points that pass ``test`` and returns how many did.
+    The pass is one flat ``for`` whatever the arity, since CPython allows
+    only 20 statically nested blocks."""
+    body = body.replace("\n", "\n   ")
+    xs = _names("x", range(arity))
+    return _compile(
+        f"def sweep(P, {args}):\n n = 0\n for x in P:\n  [{xs}] = x\n"
+        f"  if {test}:\n   n += 1\n   {body}\n return n"
+    )
 
 
 def enumerate_points(p: int, arity: int):
@@ -147,15 +179,10 @@ def enumerate_image(
 ) -> ImageEnumeration:
     """Exhaustively apply ``f`` to the F_p-points of ``domain``."""
     p = cfg.p
-    image = _compile_map(f.coords, p)
-    points = enumerate_points(p, f.source.arity)
-    if domain is not None:
-        points = filter(set_pred_mod_p(domain, p), points)
+    n = f.source.arity
+    sweep = _sweep(n, _set_source(domain, p), f"add({_tuple_source(f.coords, p)})", "add")
     hit = set()
-    n_source = 0
-    for pt in points:
-        n_source += 1
-        hit.add(image(pt))
+    n_source = sweep(enumerate_points(p, n), hit.add)
     return ImageEnumeration(p=p, source_count=n_source, points=tuple(sorted(hit)))
 
 
@@ -172,8 +199,11 @@ class OrbitCensus:
 
 def group_elements(spec: GroupActionSpec, p: int) -> tuple:
     """All parameter tuples over F_p satisfying the constraint ideal."""
-    in_group = _compile(_vanish_source(spec.constraint.generators, p))
-    return tuple(filter(in_group, enumerate_points(p, len(spec.params))))
+    k = len(spec.params)
+    elements = []
+    in_group = _sweep(k, _vanish_source(spec.constraint.generators, p), "add(x)", "add")
+    in_group(enumerate_points(p, k), elements.append)
+    return tuple(elements)
 
 
 def enumerate_orbits(
@@ -193,49 +223,41 @@ def enumerate_orbits(
     pass.
     """
     p = cfg.p
+    n = spec.space.arity
     elements = group_elements(spec, p)
-    act = _compile_map(spec.action, p)
-    pred = None if domain is None else set_pred_mod_p(domain, p)
-    in_stratum = None if stratum is None else set_pred_mod_p(stratum, p)
-    points = enumerate_points(p, spec.space.arity)
-    if pred is not None:
-        points = filter(pred, points)
-
-    point_count = 0
-    seen = set()
+    # the parameters follow the space variables: x{n}, x{n+1}, ...
+    g = _names("x", range(n, n + len(spec.params)))
+    moves = f"{_tuple_source(spec.action, p)} for [{g}] in E"
+    body = ["if x in seen: continue", f"orbit = {{{moves}}}", "orbit.add(x)"]
+    if stratum is not None:
+        body.insert(0, f"if {_set_source(stratum, p)}: stratum(x)")
+    if domain is not None:
+        # the error names the first escaping move in element order
+        ys, out = _names("y", range(n)), f"not ({_set_source(domain, p, 'y')})"
+        escaped = f"[({ys}) for [{ys}] in [{moves}] if {out}]"
+        body.append(f"for [{ys}] in orbit:\n if {out}: escape(x, {escaped})")
+    body += ["seen |= orbit", "size = len(orbit)", "sizes[size] = sizes.get(size, 0) + 1",
+             "if size == 1: fixed(x)"]
+    args = "E, seen, sizes, fixed, stratum, escape, len"
+    sweep = _sweep(n, _set_source(domain, p), "\n".join(body), args)
     sizes: dict = {}
-    orbit_count = 0
     fixed = []
     stratum_points = []
-    for start in points:
-        point_count += 1
-        if in_stratum is not None and in_stratum(start):
-            stratum_points.append(start)
-        if start in seen:
-            continue
-        orbit = {start}
-        for g in elements:
-            moved = act(start + g)
-            if moved in orbit:
-                continue
-            if pred is not None and not pred(moved):
-                raise ValueError(f"action moved {start} outside the domain to {moved}")
-            orbit.add(moved)
-        seen |= orbit
-        orbit_count += 1
-        size = len(orbit)
-        sizes[size] = sizes.get(size, 0) + 1
-        if size == 1:
-            fixed.append(start)
+    point_count = sweep(enumerate_points(p, n), elements, set(), sizes, fixed.append,
+                        stratum_points.append, _escape, len)
     return OrbitCensus(
         p=p,
         point_count=point_count,
-        orbit_count=orbit_count,
+        orbit_count=sum(sizes.values()),
         sizes=dict(sorted(sizes.items())),
         fixed_points=tuple(sorted(fixed)),
         group_order=len(elements),
         stratum_points=tuple(stratum_points),
     )
+
+
+def _escape(start, escaped):
+    raise ValueError(f"action moved {start} outside the domain to {escaped[0]}")
 
 
 def _runs_at(shadow, p: int) -> bool:

@@ -341,6 +341,7 @@ def test_parse_error_exit_2(capsys):
         ["orbit", "--space", "x,y", "--params", "a", "--act", "x+a*y,y",
          "--identity", "1/0", "--point", "1,2"],
         ["oracle", "background", "--primes", ","],
+        ["oracle", "background", "--primes", "5,5"],
         ["orbit", "--action", "shear-mat2", "--point", "1e100000,0,0,0"],
         ["orbit", "--action", "shear-mat2", "--point", "1e10000000,0,0,0"],
         ["gb", "--ring", "x", "--ideal", "x^\u00b2"],

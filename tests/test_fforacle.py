@@ -1,14 +1,18 @@
 import functools
+import io
+import itertools
 import json
 import re
+import tokenize
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcoset.polyring import Polynomial, RingCtx, evaluate, extend_ring
+from dcoset.polyring import Polynomial, RingCtx, evaluate, extend_ring, lift
 from dcoset.groebner import Ideal
 from dcoset.geometry import (
     ConstructibleSet,
@@ -20,13 +24,16 @@ from dcoset.geometry import (
 from dcoset.morphism import PolyMap
 from dcoset.action import GroupActionSpec
 from dcoset.parsing import MAX_EXPONENT
+import dcoset.fforacle as fforacle
 from dcoset.fforacle import (
     DEFAULT_PRIMES,
     FpConfig,
     GuardViolation,
+    ImageEnumeration,
+    OrbitCensus,
     _census_check,
-    _compile_map,
-    _poly_source,
+    _sweep,
+    _tuple_source,
     cross_check,
     enumerate_image,
     enumerate_orbits,
@@ -37,9 +44,21 @@ from dcoset.fforacle import (
 from dcoset.scenarios import CensusShadow, get_scenario, scenario_names
 
 
+def _compile_map(polys, p, arity=3):
+    """Evaluator of a coordinate map mod p at one point, through the sweep
+    `enumerate_image` builds for `cross_check`."""
+    sweep = _sweep(arity, "True", f"add({_tuple_source(polys, p)})", "add")
+
+    def values(point):
+        out = []
+        assert sweep([point], out.append) == 1
+        return out[0]
+
+    return values
+
+
 def _compile_one(poly, p):
-    """Evaluator of one polynomial mod p, through the path `cross_check` uses."""
-    values = _compile_map([poly], p)
+    values = _compile_map([poly], p, poly.ring.arity)
     return lambda point: values(point)[0]
 
 
@@ -99,10 +118,10 @@ _EXPONENT = st.one_of(st.integers(0, 3), st.just(MAX_EXPONENT), st.integers(0, M
 _RATIONALS = st.fractions(-50, 50, max_denominator=15)
 
 
-def _polys(exponent=_EXPONENT, coeff=_RATIONALS):
-    term = st.tuples(st.tuples(exponent, exponent, exponent), coeff)
+def _polys(exponent=_EXPONENT, coeff=_RATIONALS, ring=_R3):
+    term = st.tuples(st.tuples(*[exponent] * ring.arity), coeff)
     return st.lists(term, max_size=5).map(
-        lambda terms: sum((_R3.monomial(e, c) for e, c in terms), _R3.zero())
+        lambda terms: sum((ring.monomial(e, c) for e, c in terms), ring.zero())
     )
 
 
@@ -147,13 +166,6 @@ def test_compiled_map_matches_compile_poly(p, data):
     assert values == tuple(_mod_p(evaluate(f, point), p) for f in polys)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_TEST_PRIMES, st.data())
-def test_generated_source_is_ints_and_indices(p, data):
-    poly = data.draw(_reducible_polys(p))
-    assert re.fullmatch(r"[0-9x\[\]*+%() ]*", _poly_source(poly, p))
-
-
 def _in_set_mod_p(s, point, p):
     """LocallyClosedPiece.contains_point, with each value reduced mod p."""
 
@@ -166,13 +178,18 @@ def _in_set_mod_p(s, point, p):
     )
 
 
-# low degrees and small integer coefficients, so generators vanish mod p often
-_SMALL_GENS = st.lists(_polys(st.integers(0, 2), st.integers(-3, 3).map(Fraction)), max_size=2)
-_PIECES = st.builds(
-    LocallyClosedPiece,
-    _SMALL_GENS.map(lambda g: Ideal(_R3, g)),
-    st.none() | _SMALL_GENS.map(lambda g: Ideal(_R3, g)),
-)
+def _small_polys(ring):
+    """Low degrees and small integer coefficients, so generators vanish mod
+    p often."""
+    return _polys(st.integers(0, 2), st.integers(-3, 3).map(Fraction), ring)
+
+
+def _pieces(ring):
+    gens = st.lists(_small_polys(ring), max_size=2).map(lambda g: Ideal(ring, g))
+    return st.builds(LocallyClosedPiece, gens, st.none() | gens)
+
+
+_PIECES = _pieces(_R3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,6 +199,210 @@ def test_set_pred_mod_p_matches_piece_membership(s, p, data):
     for _ in range(5):
         point = data.draw(st.tuples(*[st.integers(0, p - 1)] * 3))
         assert member(point) is _in_set_mod_p(s, point, p)
+
+
+# -- the generated sweeps against enumerations written out in the test
+
+_SPACES = {1: RingCtx(_R3.vars[:1]), 2: RingCtx(_R3.vars[:2]), 3: _R3}
+_SMALL_PRIMES = st.sampled_from((2, 3, 5))
+
+
+def _sets(ring):
+    return st.none() | st.lists(_pieces(ring), max_size=2).map(
+        lambda ps: ConstructibleSet(ring, ps)
+    )
+
+
+@st.composite
+def _census_cases(draw):
+    """x -> x + g*b(x) (+ h*c(x)) on a space of arity 1-3, in a group cut out
+    by at most one constraint without constant term, so g = h = 0 is the
+    identity; a random domain, not always stable, and a random stratum."""
+    space = _SPACES[draw(st.integers(1, 3))]
+    params = ("g", "h")[: draw(st.integers(1, 2))]
+    combined = extend_ring(space, params)
+    action = []
+    for v in space.vars:
+        a = combined.gen(v)
+        for g in params:
+            a = a + lift(draw(_small_polys(space)), combined) * combined.gen(g)
+        action.append(a)
+    group = RingCtx(params)
+    constraint = [
+        Polynomial(group, {e: c for e, c in f.terms.items() if any(e)})
+        for f in draw(st.lists(_small_polys(group), max_size=1))
+    ]
+    spec = GroupActionSpec(
+        space=space,
+        params=params,
+        constraint=Ideal(group, constraint),
+        action=tuple(action),
+        identity=dict.fromkeys(params, 0),
+    )
+    return spec, draw(_sets(space)), draw(_sets(space)), draw(_SMALL_PRIMES)
+
+
+@st.composite
+def _image_cases(draw):
+    source = _SPACES[draw(st.integers(1, 3))]
+    target = _SPACES[draw(st.integers(1, 3))]
+    f = PolyMap(source, target, [draw(_small_polys(source)) for _ in target.vars])
+    return f, draw(_sets(source)), draw(_SMALL_PRIMES)
+
+
+def _all_points(p, arity):
+    return itertools.product(range(p), repeat=arity)
+
+
+def _reference_census(spec, p, domain=None, stratum=None, points=None):
+    """enumerate_orbits point by point, with evaluate mod p."""
+    elements = [
+        g
+        for g in _all_points(p, len(spec.params))
+        if all(_mod_p(evaluate(c, g), p) == 0 for c in spec.constraint.generators)
+    ]
+    count, seen, sizes, fixed, in_stratum = 0, set(), {}, [], []
+    for x in _all_points(p, spec.space.arity) if points is None else points:
+        if domain is not None and not _in_set_mod_p(domain, x, p):
+            continue
+        count += 1
+        if stratum is not None and _in_set_mod_p(stratum, x, p):
+            in_stratum.append(x)
+        if x in seen:
+            continue
+        orbit = {x}
+        for g in elements:
+            y = tuple(_mod_p(evaluate(a, x + g), p) for a in spec.action)
+            if domain is not None and not _in_set_mod_p(domain, y, p):
+                raise ValueError(f"action moved {x} outside the domain to {y}")
+            orbit.add(y)
+        seen |= orbit
+        sizes[len(orbit)] = sizes.get(len(orbit), 0) + 1
+        if len(orbit) == 1:
+            fixed.append(x)
+    return OrbitCensus(
+        p=p,
+        point_count=count,
+        orbit_count=sum(sizes.values()),
+        sizes=dict(sorted(sizes.items())),
+        fixed_points=tuple(sorted(fixed)),
+        group_order=len(elements),
+        stratum_points=tuple(in_stratum),
+    )
+
+
+def _reference_image(f, domain, p):
+    """enumerate_image point by point, with evaluate mod p."""
+    sources = [
+        x
+        for x in _all_points(p, f.source.arity)
+        if domain is None or _in_set_mod_p(domain, x, p)
+    ]
+    hit = {tuple(_mod_p(evaluate(c, x), p) for c in f.coords) for x in sources}
+    return ImageEnumeration(p=p, source_count=len(sources), points=tuple(sorted(hit)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_census_cases())
+def test_enumerate_orbits_matches_reference(case):
+    spec, domain, stratum, p = case
+    try:
+        want = _reference_census(spec, p, domain, stratum)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            enumerate_orbits(spec, FpConfig(p), domain, stratum)
+        assert str(info.value) == str(exc)
+    else:
+        assert enumerate_orbits(spec, FpConfig(p), domain, stratum) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_image_cases())
+def test_enumerate_image_matches_reference(case):
+    f, domain, p = case
+    assert enumerate_image(f, domain, FpConfig(p)) == _reference_image(f, domain, p)
+
+
+# every name the generated code may use besides the locals x0, x1, ... and
+# y0, y1, ...: the sweep's own locals and arguments and the methods it calls
+_SCAFFOLD = frozenset(
+    "def return for in if and or not continue True False "
+    "sweep member P E n x seen sizes fixed stratum escape len add orbit size get".split()
+)
+_OPERATORS = frozenset("( ) [ ] { } , : . = += |= * ** + % ==".split())
+_LAYOUT = (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
+
+
+def _assert_generated_grammar(source):
+    """No caller text can reach exec: the source is ints, generated names,
+    the scaffold's keywords and names, and operators."""
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert tok.string in _SCAFFOLD or re.fullmatch(r"[xy][0-9]+", tok.string), tok
+        elif tok.type == tokenize.NUMBER:
+            assert re.fullmatch(r"[0-9]+", tok.string), tok
+        elif tok.type == tokenize.OP:
+            assert tok.string in _OPERATORS, tok
+        else:
+            assert tok.type in _LAYOUT, tok
+
+
+@settings(max_examples=60, deadline=None)
+@given(_census_cases(), _image_cases(), _TEST_PRIMES, st.data())
+def test_generated_source_is_ints_and_indices(census, image, p, data):
+    """Every source the oracle compiles: the group, census and image sweeps,
+    a membership predicate, and a map with rational coefficients and large
+    exponents."""
+    spec, domain, stratum, q = census
+    f, source_domain, r = image
+    polys = data.draw(st.lists(_reducible_polys(p), max_size=4))
+    with mock.patch.object(fforacle, "_compile", wraps=fforacle._compile) as spy:
+        try:
+            enumerate_orbits(spec, FpConfig(q), domain, stratum)
+        except ValueError:  # the domain is not stable under the action
+            pass
+        enumerate_image(f, source_domain, FpConfig(r))
+        set_pred_mod_p(ConstructibleSet(_R3, data.draw(st.lists(_PIECES, max_size=3))), p)
+        _compile_map(polys, p)
+    sources = [call.args[0] for call in spy.call_args_list]
+    assert [s.split("(")[0] for s in sources] == ["def sweep"] * 3 + ["def member", "def sweep"]
+    for source in sources:
+        _assert_generated_grammar(source)
+
+
+def test_sweeps_take_thirty_variables(monkeypatch):
+    """Each sweep unpacks a point of a 30-variable space in one flat loop;
+    one nested block per variable would pass CPython's limit of 20."""
+    ring = RingCtx(tuple(f"v{i}" for i in range(30)))
+    v = ring.gens()
+    combined = extend_ring(ring, ("g",))
+    w = combined.gens()
+    shear = GroupActionSpec(
+        space=ring,
+        params=("g",),
+        constraint=Ideal(RingCtx(("g",)), []),
+        action=(w[0] + w[30] * w[29], *w[1:30]),
+        identity={"g": 0},
+    )
+    domain = locally_closed(Ideal(ring, [v[1] * v[2] - v[3]]), Ideal(ring, [v[28]]))
+    stratum = vanishing(Ideal(ring, [v[29]]))
+
+    def point(v0, v28, v29):
+        return (v0, 2, 3, 1) + (4,) * 24 + (v28, v29)
+
+    points = [point(0, 1, 0), point(3, 1, 1), point(1, 0, 1), point(3, 1, 0)]
+    monkeypatch.setattr(
+        fforacle,
+        "enumerate_points",
+        lambda p, arity: iter(points) if arity == 30 else _all_points(p, arity),
+    )
+    census = enumerate_orbits(shear, FpConfig(5), domain, stratum)
+    assert (census.point_count, census.orbit_count, census.sizes) == (3, 3, {1: 2, 5: 1})
+    assert census.stratum_points == census.fixed_points == (point(0, 1, 0), point(3, 1, 0))
+    assert census == _reference_census(shear, 5, domain, stratum, points)
+    ends = PolyMap(ring, RingCtx(("a", "b")), (v[0], v[29]))
+    enum = enumerate_image(ends, domain, FpConfig(5))
+    assert enum == ImageEnumeration(p=5, source_count=3, points=((0, 0), (3, 0), (3, 1)))
 
 
 def test_compile_poly_handles_long_polynomials():
@@ -325,11 +546,13 @@ def test_unstable_domain_rejected():
     spec = _shear_spec()
     M = spec.space
     a11 = M.gen("a11")
-    # the hyperplane a11 = 0 is not shear-stable
+    # the hyperplane a11 = 0 is not shear-stable; the error names the first
+    # escaping move in element order, lam = 1, of the p - 1 that escape
     dom = vanishing(Ideal(M, [a11]))
-    with pytest.raises(ValueError) as info:
-        enumerate_orbits(spec, FpConfig(3), dom)
-    assert str(info.value) == "action moved (0, 0, 1, 0) outside the domain to (1, 0, 1, 0)"
+    for p in (3, 5):
+        with pytest.raises(ValueError) as info:
+            enumerate_orbits(spec, FpConfig(p), dom)
+        assert str(info.value) == "action moved (0, 0, 1, 0) outside the domain to (1, 0, 1, 0)"
 
 
 def test_cross_check_example1_agreement():
