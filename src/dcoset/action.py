@@ -11,13 +11,13 @@ are normal-form computations modulo the constraint ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .polyring import (
     Polynomial,
     RationalPoint,
     RingCtx,
+    Scalar,
     as_point,
     as_rational,
     evaluate,
@@ -77,7 +77,7 @@ class GroupActionSpec:
     params: tuple
     constraint: Ideal
     action: tuple
-    identity: Mapping[str, Fraction]
+    identity: Mapping[str, Scalar]
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(self.params))

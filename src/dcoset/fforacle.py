@@ -117,10 +117,11 @@ def _tuple_source(polys, p: int) -> str:
     return f"({''.join(f'{_poly_source(f, p)}, ' for f in polys)})"
 
 
-def _compile(source: str) -> Callable:
-    """The one function ``source`` defines, run without builtins."""
+def _compile(source: str, name: str) -> Callable:
+    """The one function ``source`` defines, run without builtins, under the
+    file name ``name``; the source is not kept in ``linecache``."""
     namespace = {}
-    exec(source, {"__builtins__": {}}, namespace)
+    exec(compile(source, name, "exec"), {"__builtins__": {}}, namespace)
     return namespace.popitem()[1]
 
 
@@ -146,20 +147,22 @@ def set_pred_mod_p(s: ConstructibleSet, p: int) -> Callable:
     """Membership predicate for the F_p-points of a constructible set, given
     as tuples of ints in range(p)."""
     xs = _names("x", range(s.ring.arity))
-    return _compile(f"def member(x):\n [{xs}] = x\n return {_set_source(s, p)}")
+    source = f"def member(x):\n [{xs}] = x\n return {_set_source(s, p)}"
+    return _compile(source, f"<dcoset member p={p}>")
 
 
-def _sweep(arity: int, test: str, body: str, args: str) -> Callable:
+def _sweep(kind: str, p: int, arity: int, test: str, body: str, args: str) -> Callable:
     """Compile one pass over F_p^arity: ``sweep(P, *args)`` walks the point
     stream P, unpacks each point ``x`` into the locals ``x0, x1, ...``, runs
     ``body`` on the points that pass ``test`` and returns how many did.
     The pass is one flat ``for`` whatever the arity, since CPython allows
-    only 20 statically nested blocks."""
+    only 20 statically nested blocks.  Its file name gives kind and p."""
     body = body.replace("\n", "\n   ")
     xs = _names("x", range(arity))
     return _compile(
         f"def sweep(P, {args}):\n n = 0\n for x in P:\n  [{xs}] = x\n"
-        f"  if {test}:\n   n += 1\n   {body}\n return n"
+        f"  if {test}:\n   n += 1\n   {body}\n return n",
+        f"<dcoset {kind} sweep p={p}>",
     )
 
 
@@ -180,7 +183,8 @@ def enumerate_image(
     """Exhaustively apply ``f`` to the F_p-points of ``domain``."""
     p = cfg.p
     n = f.source.arity
-    sweep = _sweep(n, _set_source(domain, p), f"add({_tuple_source(f.coords, p)})", "add")
+    body = f"add({_tuple_source(f.coords, p)})"
+    sweep = _sweep("image", p, n, _set_source(domain, p), body, "add")
     hit = set()
     n_source = sweep(enumerate_points(p, n), hit.add)
     return ImageEnumeration(p=p, source_count=n_source, points=tuple(sorted(hit)))
@@ -201,7 +205,8 @@ def group_elements(spec: GroupActionSpec, p: int) -> tuple:
     """All parameter tuples over F_p satisfying the constraint ideal."""
     k = len(spec.params)
     elements = []
-    in_group = _sweep(k, _vanish_source(spec.constraint.generators, p), "add(x)", "add")
+    test = _vanish_source(spec.constraint.generators, p)
+    in_group = _sweep("group", p, k, test, "add(x)", "add")
     in_group(enumerate_points(p, k), elements.append)
     return tuple(elements)
 
@@ -239,7 +244,7 @@ def enumerate_orbits(
     body += ["seen |= orbit", "size = len(orbit)", "sizes[size] = sizes.get(size, 0) + 1",
              "if size == 1: fixed(x)"]
     args = "E, seen, sizes, fixed, stratum, escape, len"
-    sweep = _sweep(n, _set_source(domain, p), "\n".join(body), args)
+    sweep = _sweep("census", p, n, _set_source(domain, p), "\n".join(body), args)
     sizes: dict = {}
     fixed = []
     stratum_points = []

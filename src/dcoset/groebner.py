@@ -18,9 +18,9 @@ polynomial the engine keeps is primitive, and division is fraction-free
 pseudo-division (as in Gebauer and Möller, and Traverso): it scales the
 remainder by a leading coefficient's cofactor instead of dividing by it,
 taking the largest remaining term from a heap of negated int order keys
-(after Monagan and Pearce).  `Fraction` appears only at the edges: inputs
-are made primitive on entry, a basis leaves monic over Q once, at the exit
-of `groebner_basis`, and `normal_form` divides out the scale it applied.
+(after Monagan and Pearce).  Inputs are made primitive on entry; a basis
+leaves monic over Q at the exit of `groebner_basis`, and `normal_form`
+divides out the scale it applied, both keeping integral values as ints.
 An exponent reaching `EXPONENT_LIMIT` raises `ValueError`.
 
 Every comparison uses the order of the ring the polynomials live in; to
@@ -43,6 +43,7 @@ from .polyring import (
     EXPONENT_LIMIT,
     Polynomial,
     RingCtx,
+    as_rational,
     block_order,
     extend_ring,
     lift,
@@ -226,8 +227,8 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     divisors = [_divisor(_primitive(b.packed())) for b in basis]
     terms = _primitive(f.packed())
     r, lam = _reduce(terms, divisors, f.ring.packing)
-    scale = Fraction(f.packed()[0][2], terms[0][2] * lam)  # content(f)/λ
-    return Polynomial.from_packed(f.ring, [(k, e, scale * c) for k, e, c in r])
+    scale = as_rational(Fraction(f.packed()[0][2], terms[0][2] * lam))  # content(f)/λ
+    return Polynomial.from_packed(f.ring, [(k, e, as_rational(scale * c)) for k, e, c in r])
 
 
 def _update(pairs: dict, live: list, lms: list, h: int, pk) -> list:
@@ -361,7 +362,8 @@ def groebner_basis(ideal: Ideal):
     ring = ideal.ring
     gens = [g.packed() for g in ideal.generators]
     reduced = _reduced_basis(_buchberger(gens, ring.packing), ring.packing)
-    monic = ([(k, e, Fraction(c, b[0][2])) for k, e, c in b] for b in reduced)
+    monic = (b if b[0][2] == 1 else [(k, e, as_rational(Fraction(c, b[0][2]))) for k, e, c in b]
+             for b in reduced)
     basis = tuple(Polynomial.from_packed(ring, b) for b in monic)
     # the audit's divisor records go with the basis, for ideal_member
     ideal._gb[tag] = (basis, _assert_fixed_point(basis, ideal.generators))

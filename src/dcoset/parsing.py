@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .polyring import Polynomial, RingCtx
+from .polyring import Polynomial, RingCtx, Scalar, as_rational
 
 __all__ = ["ParseError", "parse_poly", "parse_polys", "parse_point"]
 
@@ -133,7 +133,7 @@ class _Parser:
             self.factor(exps)
         return self.ring.monomial(exps, coeff)
 
-    def coeff(self) -> Fraction:
+    def coeff(self) -> Scalar:
         kind, value, pos = self.peek()
         if kind != "int":
             self.fail("expected an integer")
@@ -149,7 +149,7 @@ class _Parser:
                 raise ParseError(f"syntax error at position {dpos}: zero denominator")
             self.advance()
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
     def factor(self, exps: list) -> None:
         """Multiply the term's exponent vector by one `var ('^' nat)?`."""
@@ -235,11 +235,11 @@ def parse_point(text: str, arity: int) -> tuple:
                 f"bad coordinate {body!r} at position {start}: "
                 "expected an integer or a fraction such as -3/2"
             )
-        value = Fraction(_integer(m[2], start + m.start(2)))
+        value = _integer(m[2], start + m.start(2))
         if m[3] is not None:
             den = _integer(m[3], start + m.start(3))
             if den == 0:
                 raise ParseError(f"syntax error at position {start + m.start(3)}: zero denominator")
-            value /= den
+            value = as_rational(Fraction(value, den))
         coords.append(-value if m[1] == "-" else value)
     return tuple(coords)

@@ -1,6 +1,6 @@
 """Sparse multivariate polynomials over the rationals.
 
-A polynomial is a dict from exponent tuples to nonzero `Fraction`
+A polynomial is a dict from exponent tuples to nonzero exact rational
 coefficients, attached to a `RingCtx` that fixes the variable names and a
 monomial order.  All arithmetic is exact; nothing in this module ever touches
 floating point.
@@ -46,20 +46,24 @@ __all__ = [
 Scalar = Union[int, Fraction]
 Monomial = tuple  # exponent tuple, one slot per ring variable
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 class RingMismatchError(ValueError):
     """Operands live in rings with different variable tuples."""
 
 
-def as_rational(value) -> Fraction:
-    """Coerce an int or Fraction to Fraction; reject floats outright."""
-    if isinstance(value, Fraction):
+def as_rational(value) -> Scalar:
+    """An int or Fraction as an int when integral, else as a Fraction; a
+    float or any other type raises TypeError.  Arithmetic may still yield
+    an integral Fraction, which equals, hashes and prints like its int."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):  # bool
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -301,7 +305,7 @@ class Polynomial:
 
     __slots__ = ("ring", "terms", "_packed")
 
-    def __init__(self, ring: RingCtx, terms: Mapping[Monomial, Fraction]):
+    def __init__(self, ring: RingCtx, terms: Mapping[Monomial, Scalar]):
         self.ring = ring
         self.terms = dict(terms)
         self._packed = None
@@ -329,7 +333,7 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {(0,) * self.ring.arity}
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.terms:
             return _ZERO
         if not self.is_constant():
@@ -531,7 +535,7 @@ def as_point(ring: RingCtx, value) -> RationalPoint:
 # substitution and evaluation
 
 
-def evaluate(p: Polynomial, point) -> Fraction:
+def evaluate(p: Polynomial, point) -> Scalar:
     """Value of p at a rational point, computed exactly."""
     pt = as_point(p.ring, point)
     total = _ZERO
@@ -541,7 +545,7 @@ def evaluate(p: Polynomial, point) -> Fraction:
             if e:
                 v *= x**e
         total += v
-    return total
+    return as_rational(total)
 
 
 def substitute(p: Polynomial, assignment: Mapping[str, object], into: RingCtx) -> Polynomial:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable
 
 from .polyring import (
@@ -995,18 +994,18 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         rng = random.Random(20260822)
         pts = []
         while len(pts) < 35:
-            t = Fraction(rng.randint(-9, 9))
-            u2 = Fraction(rng.randint(-9, 9))
-            u4 = Fraction(rng.randint(-9, 9))
+            t = rng.randint(-9, 9)
+            u2 = rng.randint(-9, 9)
+            u4 = rng.randint(-9, 9)
             if u2 == 0 and u4 == 0:
                 continue
             pts.append((t * u2, u2, -t * u4, u4))
         while len(pts) < 50:
-            u = Fraction(rng.randint(-9, 9))
-            v = Fraction(rng.randint(-9, 9))
+            u = rng.randint(-9, 9)
+            v = rng.randint(-9, 9)
             if u == 0 and v == 0:
                 continue
-            pts.append((u, Fraction(0), -v, Fraction(0)))
+            pts.append((u, 0, -v, 0))
         good = 0
         for pt in pts:
             if evaluate(cone_poly, pt) == 0 and incidence_ok(pred, (x2, x4), pt):
@@ -1030,13 +1029,13 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
 
     def run_exceptional():
         params = [(1, 0), (0, 1), (1, 1), (2, 3), (-1, 2)]
-        pts = [(Fraction(u), Fraction(0), Fraction(-v), Fraction(0)) for u, v in params]
+        pts = [(u, 0, -v, 0) for u, v in params]
         on_fiber = all(
             contains_point(punctured_cone, pt) and proj.apply(pt) == (0, 0)
             for pt in pts
         )
         values = [pred.value_at(pt) for pt in pts]
-        expected = [(Fraction(u), Fraction(v)) for u, v in params]
+        expected = params
         values_ok = values == expected
         distinct = all(
             values[i][0] * values[j][1] - values[j][0] * values[i][1] != 0

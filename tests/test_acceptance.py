@@ -204,7 +204,7 @@ def _spair(f, g):
     top = tuple(map(max, mf, mg))
 
     def cofactor(m, c):
-        return f.ring.monomial([t - e for t, e in zip(top, m)], 1 / c)
+        return f.ring.monomial([t - e for t, e in zip(top, m)], Fraction(1, c))
 
     return cofactor(mf, cf) * f - cofactor(mg, cg) * g
 

@@ -173,3 +173,16 @@ def test_every_public_function_has_a_caller():
             ):
                 unused.append(f"{name}.{attr}")
     assert unused == []
+
+
+@pytest.mark.parametrize("name", ["__init__", *MODULES])
+def test_no_true_division(name):
+    """`/` on two ints gives a float, so no `/` or `/=` appears in the
+    package: exact quotients are built as Fraction(a, b)."""
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    )
+    assert lines == []

@@ -2,6 +2,7 @@ import functools
 import io
 import itertools
 import json
+import linecache
 import re
 import tokenize
 from fractions import Fraction
@@ -47,7 +48,7 @@ from dcoset.scenarios import CensusShadow, get_scenario, scenario_names
 def _compile_map(polys, p, arity=3):
     """Evaluator of a coordinate map mod p at one point, through the sweep
     `enumerate_image` builds for `cross_check`."""
-    sweep = _sweep(arity, "True", f"add({_tuple_source(polys, p)})", "add")
+    sweep = _sweep("image", p, arity, "True", f"add({_tuple_source(polys, p)})", "add")
 
     def values(point):
         out = []
@@ -403,6 +404,32 @@ def test_sweeps_take_thirty_variables(monkeypatch):
     ends = PolyMap(ring, RingCtx(("a", "b")), (v[0], v[29]))
     enum = enumerate_image(ends, domain, FpConfig(5))
     assert enum == ImageEnumeration(p=5, source_count=3, points=((0, 0), (3, 0), (3, 1)))
+
+
+def test_generated_functions_are_named_by_kind_and_prime(monkeypatch):
+    """Profiles and tracebacks tell the generated functions apart by their
+    file names; no source is kept alive in linecache."""
+    made = []
+    compile_ = fforacle._compile
+
+    def recording(source, name):
+        made.append(compile_(source, name))
+        return made[-1]
+
+    monkeypatch.setattr(fforacle, "_compile", recording)
+    enumerate_orbits(_shear_spec(), FpConfig(3))
+    R = RingCtx(("t",))
+    parabola = PolyMap(R, RingCtx(("x", "y")), (R.gen("t"), R.gen("t") ** 2))
+    enumerate_image(parabola, None, FpConfig(5))
+    set_pred_mod_p(whole_space(R), 7)
+    names = [f.__code__.co_filename for f in made]
+    assert names == [
+        "<dcoset group sweep p=3>",
+        "<dcoset census sweep p=3>",
+        "<dcoset image sweep p=5>",
+        "<dcoset member p=7>",
+    ]
+    assert not any(name in linecache.cache for name in names)
 
 
 def test_compile_poly_handles_long_polynomials():

@@ -66,14 +66,14 @@ def _old_lm(p, key):
 
 def _old_monic(p, key):
     lc = p.terms[_old_lm(p, key)]
-    return Polynomial._new(p.ring, {m: c / lc for m, c in p.terms.items()})
+    return Polynomial._new(p.ring, {m: Fraction(c, lc) for m, c in p.terms.items()})
 
 
 def _old_spolynomial(f, g, key):
     lf, lg = _old_lm(f, key), _old_lm(g, key)
     lcm = mono_lcm(lf, lg)
-    a = {mono_mul(m, mono_div(lcm, lf)): c / f.terms[lf] for m, c in f.terms.items()}
-    b = {mono_mul(m, mono_div(lcm, lg)): c / g.terms[lg] for m, c in g.terms.items()}
+    a = {mono_mul(m, mono_div(lcm, lf)): Fraction(c, f.terms[lf]) for m, c in f.terms.items()}
+    b = {mono_mul(m, mono_div(lcm, lg)): Fraction(c, g.terms[lg]) for m, c in g.terms.items()}
     return Polynomial._new(f.ring, a) - Polynomial._new(g.ring, b)
 
 
@@ -92,7 +92,7 @@ def _old_normal_form(f, basis, order):
         for i, lm in enumerate(lms):
             if mono_divides(lm, m):
                 shift = mono_div(m, lm)
-                factor = c / lcs[i]
+                factor = Fraction(c, lcs[i])
                 for bm, bc in basis[i].terms.items():
                     if bm == lm:
                         continue

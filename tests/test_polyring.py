@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcoset.groebner import Ideal, groebner_basis, normal_form
+from dcoset.parsing import parse_point, parse_poly
 from dcoset.polyring import (
     GREVLEX,
     LEX,
@@ -171,14 +173,14 @@ _coeffs = st.fractions(min_value=-40, max_value=40, max_denominator=7)
 
 
 @st.composite
-def polys(draw, ring):
+def polys(draw, ring, coeffs=_coeffs):
     n = draw(st.integers(min_value=0, max_value=4))
     p = ring.zero()
     for _ in range(n):
         exps = tuple(
             draw(st.integers(min_value=0, max_value=3)) for _ in ring.vars
         )
-        p = p + ring.monomial(exps, draw(_coeffs))
+        p = p + ring.monomial(exps, draw(coeffs))
     return p
 
 
@@ -207,8 +209,6 @@ def test_evaluation_is_a_homomorphism(p, q, pt):
 @given(polys(_R3))
 @settings(max_examples=60, deadline=None)
 def test_format_parse_round_trip(p):
-    from dcoset.parsing import parse_poly
-
     assert parse_poly(format_poly(p), _R3) == p
 
 
@@ -226,3 +226,57 @@ def test_leading_monomial_is_multiplicative(p, q):
             for a, b in zip(p.sorted_terms()[0][0], q.sorted_terms()[0][0])
         )
         assert lm == combined
+
+
+# exact values: an int when integral, a Fraction otherwise, never a float or a bool
+
+_scalars = st.one_of(st.integers(min_value=-40, max_value=40), _coeffs, st.booleans())
+_R2 = RingCtx(("x", "y"))
+
+
+def _exact(v):
+    return type(v) in (int, Fraction)
+
+
+def _normal(v):
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+def _coefficients(*ps):
+    return [c for p in ps for c in p.terms.values()]
+
+
+@given(
+    polys(_R3, _scalars),
+    polys(_R3, _scalars),
+    st.tuples(_scalars, _scalars, _scalars),
+    st.lists(polys(_R2, _scalars), min_size=1, max_size=3),
+    polys(_R2, _scalars),
+    _scalars,
+)
+@settings(max_examples=60, deadline=None)
+def test_values_are_ints_when_integral(p, q, coords, gens, f, c):
+    built = (_R3.const(c), _R3.monomial((1, 0, 2), c), _R3.gen("y"))
+    assert all(map(_normal, _coefficients(*built)))
+    point = _R3.point(coords)
+    assert all(map(_normal, point))
+    assert _normal(evaluate(p, point))
+    parsed = parse_point(",".join(map(str, point)), 3)
+    assert parsed == point.coords and all(map(_normal, parsed))
+    assert all(map(_normal, _coefficients(parse_poly(format_poly(p), _R3))))
+
+    computed = (p + q, p - q, p * q, p**2, -p, c * p, p + Fraction(1, 2))
+    moved = (substitute(p, {"x": c, "y": q}, _R3), lift(p, RingCtx(_R3.vars, LEX)))
+    assert all(map(_exact, _coefficients(*computed, *moved)))
+
+    basis = groebner_basis(Ideal(_R2, gens))
+    assert all(map(_normal, _coefficients(*basis)))
+    if basis:
+        assert all(map(_normal, _coefficients(normal_form(f, basis))))
+
+
+@given(st.integers())
+def test_integral_fraction_constant_is_its_int(n):
+    a, b = _R3.const(Fraction(n)), _R3.const(n)
+    assert a == b and hash(a) == hash(b) and str(a) == str(b)
+    assert all(type(v) is int for v in a.terms.values())
