@@ -93,7 +93,6 @@ from .scenarios import (
     ScenarioSpec,
     get_scenario,
     run_scenario,
-    scenario_catalog,
     scenario_names,
 )
 from .fforacle import (

@@ -33,7 +33,6 @@ from .scenarios import (
     row_shear_action,
     run_scenario,
     scaling_action,
-    scenario_catalog,
     scenario_names,
 )
 
@@ -256,29 +255,28 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    entries = scenario_catalog()
+    specs = [get_scenario(name) for name in scenario_names()]
     if args.json:
         payload = [
             {
-                "name": name,
-                "summary": summary,
+                "name": spec.name,
+                "summary": spec.summary,
                 "checks": [
-                    {"id": cid, "kind": kind, "claim": claim}
-                    for cid, kind, claim in checks
+                    {"id": c.id, "kind": c.kind, "claim": c.claim} for c in spec.checks
                 ],
-                "negative_control": negative,
-                "targeted_check": targeted,
+                "negative_control": spec.negative_control,
+                "targeted_check": spec.targeted_check,
             }
-            for name, summary, checks, negative, targeted in entries
+            for spec in specs
         ]
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    for name, summary, checks, negative, targeted in entries:
-        print(f"{name}: {summary}")
-        for cid, kind, claim in checks:
-            print(f"  [{kind}] {cid}: {claim}")
-        if negative:
-            print(f"  negative control; must fail exactly: {targeted}")
+    for spec in specs:
+        print(f"{spec.name}: {spec.summary}")
+        for c in spec.checks:
+            print(f"  [{c.kind}] {c.id}: {c.claim}")
+        if spec.negative_control:
+            print(f"  negative control; must fail exactly: {spec.targeted_check}")
         print()
     return 0
 

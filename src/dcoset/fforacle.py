@@ -5,8 +5,9 @@ exhaustive computation over a small prime field: reduce every polynomial
 mod p, enumerate points, and compare image membership or orbit partitions
 against the symbolic prediction.  Scenarios declare which of their claims
 carry such shadows; :func:`cross_check` runs the declared shadows for one
-prime and returns a report.  Enumeration streams over F_p^n: no point list
-is kept, only the points already placed in an orbit.
+prime and returns a report.  Enumeration streams over F_p^n: no list of
+all points is kept, only the points already placed in an orbit, and for an
+image check the attained and the predicted sets, compared as sets.
 
 Rational coefficients are mapped to F_p via modular inverse of the
 denominator.  A denominator divisible by p has no image, so reduction
@@ -41,7 +42,6 @@ __all__ = [
     "DEFAULT_PRIMES",
     "FpConfig",
     "GuardViolation",
-    "set_pred_mod_p",
     "enumerate_image",
     "enumerate_orbits",
     "group_elements",
@@ -143,14 +143,6 @@ def _set_source(s: ConstructibleSet | None, p: int, var: str = "x") -> str:
     return " or ".join(pieces) or "False"
 
 
-def set_pred_mod_p(s: ConstructibleSet, p: int) -> Callable:
-    """Membership predicate for the F_p-points of a constructible set, given
-    as tuples of ints in range(p)."""
-    xs = _names("x", range(s.ring.arity))
-    source = f"def member(x):\n [{xs}] = x\n return {_set_source(s, p)}"
-    return _compile(source, f"<dcoset member p={p}>")
-
-
 def _sweep(kind: str, p: int, arity: int, test: str, body: str, args: str) -> Callable:
     """Compile one pass over F_p^arity: ``sweep(P, *args)`` walks the point
     stream P, unpacks each point ``x`` into the locals ``x0, x1, ...``, runs
@@ -168,6 +160,13 @@ def _sweep(kind: str, p: int, arity: int, test: str, body: str, args: str) -> Ca
 
 def enumerate_points(p: int, arity: int):
     return itertools.product(range(p), repeat=arity)
+
+
+def _points(kind: str, p: int, arity: int, test: str) -> list:
+    """The points of F_p^arity that pass ``test``, in enumeration order."""
+    points = []
+    _sweep(kind, p, arity, test, "add(x)", "add")(enumerate_points(p, arity), points.append)
+    return points
 
 
 @dataclass(frozen=True)
@@ -203,12 +202,8 @@ class OrbitCensus:
 
 def group_elements(spec: GroupActionSpec, p: int) -> tuple:
     """All parameter tuples over F_p satisfying the constraint ideal."""
-    k = len(spec.params)
-    elements = []
     test = _vanish_source(spec.constraint.generators, p)
-    in_group = _sweep("group", p, k, test, "add(x)", "add")
-    in_group(enumerate_points(p, k), elements.append)
-    return tuple(elements)
+    return tuple(_points("group", p, len(spec.params), test))
 
 
 def enumerate_orbits(
@@ -255,7 +250,7 @@ def enumerate_orbits(
         point_count=point_count,
         orbit_count=sum(sizes.values()),
         sizes=dict(sorted(sizes.items())),
-        fixed_points=tuple(sorted(fixed)),
+        fixed_points=tuple(fixed),
         group_order=len(elements),
         stratum_points=tuple(stratum_points),
     )
@@ -289,34 +284,23 @@ def oracle_work(shadows, p: int) -> int:
 
 def _image_check(shadow, cfg: FpConfig) -> tuple:
     p = cfg.p
-    enum = enumerate_image(shadow.map, shadow.domain, cfg)
-    image = set(enum.points)
-    pred = set_pred_mod_p(shadow.predicted, p)
-    total = 0
-    agree = 0
-    pred_count = 0
-    witness = None
-    for q in enumerate_points(p, shadow.map.target.arity):
-        total += 1
-        enum_member = q in image
-        pred_member = pred(q)
-        if pred_member:
-            pred_count += 1
-        if enum_member == pred_member:
-            agree += 1
-        elif witness is None:
-            witness = (q, enum_member, pred_member)
+    arity = shadow.map.target.arity
+    image = set(enumerate_image(shadow.map, shadow.domain, cfg).points)
+    predicted = set(_points("predicted", p, arity, _set_source(shadow.predicted, p)))
+    mismatched = image ^ predicted
+    total = p**arity
     detail = (
-        f"{agree}/{total} points agree; enumerated image has "
-        f"{len(image)} points; predicted set has {pred_count}"
+        f"{total - len(mismatched)}/{total} points agree; enumerated image has "
+        f"{len(image)} points; predicted set has {len(predicted)}"
     )
-    if witness is not None:
-        q, e, pr = witness
+    if mismatched:
+        # enumeration is lexicographic, so the least mismatch comes first
+        q = min(mismatched)
         detail += (
-            f"; first mismatch at {q}: enumerated={'in' if e else 'out'}, "
-            f"predicted={'in' if pr else 'out'}"
+            f"; first mismatch at {q}: enumerated={'in' if q in image else 'out'}, "
+            f"predicted={'in' if q in predicted else 'out'}"
         )
-    return agree == total, detail
+    return not mismatched, detail
 
 
 def _census_check(shadow, cfg: FpConfig) -> tuple:

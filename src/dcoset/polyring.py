@@ -249,35 +249,37 @@ class RingCtx:
         return name in self._index
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._new(self, {})
 
     def one(self) -> "Polynomial":
         return self.const(1)
 
     def const(self, value: Scalar) -> "Polynomial":
         c = as_rational(value)
-        if c == 0:
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.arity: c})
+        return Polynomial._new(self, {(0,) * self.arity: c} if c else {})
 
     def gen(self, name: str) -> "Polynomial":
         i = self.index(name)
         exps = tuple(1 if j == i else 0 for j in range(self.arity))
-        return Polynomial(self, {exps: _ONE})
+        return Polynomial._new(self, {exps: _ONE})
 
     def gens(self) -> tuple:
         return tuple(self.gen(v) for v in self.vars)
 
     def monomial(self, exps: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != self.arity:
-            raise ValueError("exponent tuple has the wrong arity")
-        if any(e < 0 for e in exps):
-            raise ValueError("exponents must be nonnegative")
+        exps = self._exponents(tuple(exps))
         c = as_rational(coeff)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {exps: c})
+        return Polynomial._new(self, {exps: c} if c else {})
+
+    def _exponents(self, exps: Monomial) -> Monomial:
+        """``exps`` unchanged if it is a tuple of ``arity`` nonnegative ints."""
+        if type(exps) is not tuple or any(type(e) is not int for e in exps):
+            raise TypeError(f"exponents must be a tuple of ints, got {exps!r}")
+        if len(exps) != self.arity:
+            raise ValueError(f"exponent tuple {exps} has the wrong arity for {self!r}")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"exponents must be nonnegative, got {exps}")
+        return exps
 
     def point(self, coords: Sequence[Scalar]) -> "RationalPoint":
         return RationalPoint(self, coords)
@@ -306,8 +308,14 @@ class Polynomial:
     __slots__ = ("ring", "terms", "_packed")
 
     def __init__(self, ring: RingCtx, terms: Mapping[Monomial, Scalar]):
+        """Keys must be tuples of ``ring.arity`` nonnegative ints; values are
+        coerced by `as_rational`, and zero terms are dropped."""
         self.ring = ring
-        self.terms = dict(terms)
+        self.terms = {}
+        for m, c in terms.items():
+            m, c = ring._exponents(m), as_rational(c)
+            if c:
+                self.terms[m] = c
         self._packed = None
 
     @classmethod

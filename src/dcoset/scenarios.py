@@ -22,7 +22,8 @@ fail exactly one named check, and declares finite-field shadows consumed
 by the brute-force oracle.  Checks come in three kinds: ``verified``
 (recomputed here), ``by-criterion`` (conclusion lines justified by earlier
 checks plus a quoted criterion), and ``by-representation`` (facts read off
-a declared encoding).
+a declared encoding).  The last two are declared: they carry their
+justification as data and pass by declaration.
 """
 
 from __future__ import annotations
@@ -97,19 +98,28 @@ __all__ = [
     "CensusShadow",
     "get_scenario",
     "run_scenario",
-    "scenario_catalog",
     "scenario_names",
 ]
 
 
 @dataclass(frozen=True)
 class Check:
-    """One verification step: id, how it concludes, what it certifies."""
+    """One verification step: id, how it concludes, what it certifies.
+
+    A ``verified`` check recomputes its claim: ``run()`` returns (passed,
+    detail), and passed is tested for truth.  Every other kind is declared:
+    it has no ``run``, and ``detail`` says what the declaration rests on."""
 
     id: str
     kind: str
     claim: str
-    run: Callable  # () -> (passed: bool, detail: str)
+    run: Callable | None = None
+    detail: str = ""
+
+    def __post_init__(self):
+        if (self.run is None) == (self.kind == KIND_VERIFIED):
+            need = "a run" if self.kind == KIND_VERIFIED else "no run"
+            raise ValueError(f"check {self.id!r} of kind {self.kind} needs {need}")
 
 
 @dataclass(frozen=True)
@@ -153,10 +163,6 @@ class ScenarioSpec:
 
 def _polys(gens) -> str:
     return "[" + ", ".join(format_poly(g) for g in gens) + "]"
-
-
-def _ok(flag: bool, detail: str):
-    return bool(flag), detail
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +262,11 @@ def _quotient_core_checks(core, mutated: bool):
             f"{format_poly(g)}: {'invariant' if ok else 'NOT invariant'}"
             for g, ok in results
         )
-        return _ok(all(ok for _, ok in results), detail)
+        return all(ok for _, ok in results), detail
 
     def run_image_closure():
         cl = image_closure(inv_map, whole_space(M))
-        return _ok(
+        return (
             cl.is_zero_ideal(),
             f"closure ideal of the image: {_polys(cl.generators) if cl.generators else '(0)'}",
         )
@@ -269,7 +275,7 @@ def _quotient_core_checks(core, mutated: bool):
         stratum = Ideal(T, [b1, b2])
         constraints = parametric_image_constraints(inv_map, whole_space(M), stratum)
         want = Ideal(T, [d])
-        return _ok(
+        return (
             equal_ideals(constraints, want),
             f"constraints beyond the stratum: {_polys(constraints.generators)}",
         )
@@ -281,7 +287,7 @@ def _quotient_core_checks(core, mutated: bool):
         detail = (
             "fibers over (0,0,1) and (0,0,-2) are empty; fiber over the origin is not"
         )
-        return _ok(all(miss_ok) and hit_origin, detail)
+        return all(miss_ok) and hit_origin, detail
 
     def run_image_description():
         W4 = RingCtx(("b1", "b2", "d", "w"))
@@ -321,25 +327,25 @@ def _quotient_core_checks(core, mutated: bool):
             f"origin ({'ok' if ok0 else 'fail'}); "
             f"strata cover the predicted set: {cover_ok}"
         )
-        return _ok(ok1 and ok2 and ok0 and cover_ok, detail)
+        return ok1 and ok2 and ok0 and cover_ok, detail
 
     def run_not_closed():
         full = closure(predicted).is_zero_ideal()
         proper = not is_empty(difference(whole_space(T), predicted))
-        return _ok(
+        return (
             full and proper,
             "closure of the image is the whole target, yet the image misses the punctured line",
         )
 
     def run_not_open():
         open_ = is_open_in(predicted, whole_space(T))
-        return _ok(not open_, f"is_open_in(image, target) = {open_}")
+        return not open_, f"is_open_in(image, target) = {open_}"
 
     def run_fixed_stratum():
         stratum_ideal = Ideal(M, [a21, a22])
         fixed_ok = fixed_stratum_check(shear, vanishing(stratum_ideal))
         to_origin = all(ideal_member(c, stratum_ideal) for c in inv_map.coords)
-        return _ok(
+        return (
             fixed_ok and to_origin,
             "zero-bottom-row matrices are pointwise fixed; all invariant "
             "coordinates reduce to 0 on the stratum",
@@ -354,16 +360,7 @@ def _quotient_core_checks(core, mutated: bool):
         verdicts = separation_report(shear, inv_map, pairs)
         detail = "; ".join(v.describe() for v in verdicts)
         want = ["same-orbit", "separated", "collapsed"]
-        return _ok([v.verdict for v in verdicts] == want, detail)
-
-    def run_conclusion():
-        return _ok(
-            True,
-            "criterion: a candidate orbit space realizable as a variety must "
-            "be open or closed in the target; the image is neither (see "
-            "image-not-open, image-not-closed) but is a finite union of "
-            "locally closed pieces",
-        )
+        return [v.verdict for v in verdicts] == want, detail
 
     return [
         Check(
@@ -435,7 +432,12 @@ def _quotient_core_checks(core, mutated: bool):
             "The orbit-space candidate is constructible but neither open "
             "nor closed, so it is not realized by any subvariety of the "
             "invariant space; the quotient exists only constructibly.",
-            run_conclusion,
+            detail=(
+                "criterion: a candidate orbit space realizable as a variety must "
+                "be open or closed in the target; the image is neither (see "
+                "image-not-open, image-not-closed) but is a finite union of "
+                "locally closed pieces"
+            ),
         ),
     ]
 
@@ -523,7 +525,7 @@ def _example1_extra_checks(core):
         want = Ideal(G, [g13, g14, g23, g24])
         exact = equal_ideals(stab, want)
         free = not radical_member(g12, want)
-        return _ok(
+        return (
             exact and free,
             f"stabilizer ideal: {_polys(groebner_basis(stab))}; "
             f"g12 remains free: {free}",
@@ -562,18 +564,10 @@ def _example1_extra_checks(core):
             and prod[1][0] == shear_polys[2]
             and prod[1][1] == shear_polys[3]
         )
-        return _ok(
+        return (
             chart_ok and top_ok,
             "bottom block stays the identity; top rows transform as "
             f"({format_poly(prod[0][0])}, {format_poly(prod[0][1])})",
-        )
-
-    def run_reduction():
-        return _ok(
-            True,
-            "declared chart: representatives with identity bottom block are "
-            "parametrized by their 2x2 top block; the residual action is "
-            "the row-shear action checked above",
         )
 
     return [
@@ -599,7 +593,11 @@ def _example1_extra_checks(core):
             "The chart of identity-bottom representatives identifies the "
             "coset space with the space of 2x2 top blocks; the quotient "
             "question reduces to the row-shear analysis.",
-            run_reduction,
+            detail=(
+                "declared chart: representatives with identity bottom block are "
+                "parametrized by their 2x2 top block; the residual action is "
+                "the row-shear action checked above"
+            ),
         ),
     ]
 
@@ -689,7 +687,7 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
 
     def run_limit_point():
         ok = base_in_all_orbit_closures(scaling, base_point)
-        return _ok(
+        return (
             ok,
             f"start point {base_point}: contained in every orbit closure of "
             f"the scaling action = {ok}",
@@ -712,31 +710,23 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
             for j in range(i + 1, 4)
         ]
         ok = equal_ideals(E, Ideal(small, minors))
-        return _ok(
+        return (
             ok,
             f"eliminated ideal has {len(E.generators)} generators and "
             f"equals the ideal of 2x2 minors pairing a point with its image",
         )
 
-    def run_encoded():
-        return _ok(
-            True,
-            "admissible matrices are encoded as the complement of the union "
-            "of V(column 1) and V(column 2): one locally closed piece whose "
-            "excluded ideal is the product of the two column ideals",
-        )
-
     def run_contains():
         ok = contains(admissible, good_pairs)
-        return _ok(ok, f"contains(admissible, good-tops x bottoms) = {ok}")
+        return ok, f"contains(admissible, good-tops x bottoms) = {ok}"
 
     def run_dense():
         ok = closure(good_tops).is_zero_ideal()
-        return _ok(ok, "closure of the good top-block locus is the whole space")
+        return ok, "closure of the good top-block locus is the whole space"
 
     def run_open():
         ok = is_open_in(good_tops, whole_space(top_ring))
-        return _ok(ok, f"is_open_in(good tops, top space) = {ok}")
+        return ok, f"is_open_in(good tops, top space) = {ok}"
 
     def run_stable():
         assignment = dict(zip(W8.vars, full_action.action))
@@ -749,7 +739,7 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
                 moved = substitute(g, assignment, into=big)
                 if not ideal_member(moved, target):
                     ok = False
-        return _ok(
+        return (
             ok,
             "each column-vanishing locus is carried into itself by the "
             "group, so the admissible complement is preserved",
@@ -761,20 +751,11 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
         )
         zero_ok = constraints.is_zero_ideal()
         worst = point_in_image(pr, admissible, (0, 0, 0, 0))
-        return _ok(
+        return (
             zero_ok and worst,
             f"parametric constraint ideal: "
             f"{_polys(constraints.generators) if constraints.generators else '(0)'}; "
             f"zero top block attained: {worst}",
-        )
-
-    def run_chain():
-        return _ok(
-            True,
-            "criterion: with the limit point in every scaling-orbit closure, "
-            "a stable admissible set, and the projection onto the top block "
-            "surjective, the quotient analysis reduces along the scaling "
-            "factor to the row-shear engine on top blocks",
         )
 
     checks = (
@@ -800,7 +781,11 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
             "The admissible 4x2 matrices are those with both columns "
             "nonzero, encoded as the complement of two closed column loci; "
             "in particular the set is open by construction.",
-            run_encoded,
+            detail=(
+                "admissible matrices are encoded as the complement of the union "
+                "of V(column 1) and V(column 2): one locally closed piece whose "
+                "excluded ideal is the product of the two column ideals"
+            ),
         ),
         Check(
             "good-tops-times-bottoms-inside",
@@ -844,7 +829,12 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
             "With the verified premises, the quotient computation reduces "
             "first along the scaling factor and then to the row-shear "
             "analysis of top blocks.",
-            run_chain,
+            detail=(
+                "criterion: with the limit point in every scaling-orbit closure, "
+                "a stable admissible set, and the projection onto the top block "
+                "surjective, the quotient analysis reduces along the scaling "
+                "factor to the row-shear engine on top blocks"
+            ),
         ),
     )
 
@@ -891,17 +881,17 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
     def run_nonempty():
         ok = not is_empty(punctured_cone)
         witness = contains_point(punctured_cone, (0, 1, 0, 0))
-        return _ok(ok and witness, "witness point (0, 1, 0, 0) lies on the punctured cone")
+        return ok and witness, "witness point (0, 1, 0, 0) lies on the punctured cone"
 
     def run_invariants():
         ok2 = check_invariant(act, x2)
         ok4 = check_invariant(act, x4)
-        return _ok(ok2 and ok4, f"x2 invariant: {ok2}; x4 invariant: {ok4}")
+        return ok2 and ok4, f"x2 invariant: {ok2}; x4 invariant: {ok4}"
 
     def run_preserved():
         inv = check_invariant(act, cone_poly)
         fixes_origin = act.act_on_point((5,), (0, 0, 0, 0)) == (0, 0, 0, 0)
-        return _ok(
+        return (
             inv and fixes_origin,
             "the cone equation is invariant and the origin is fixed, so the "
             "punctured cone is preserved",
@@ -917,7 +907,7 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
             chart = Ideal(R5, [lift(cone_poly, R5), rw * unit - 1])
             moved = (r1 + a_val * r2, r3 - a_val * r4)
             ok &= all(ideal_member(m, chart) for m in moved)
-        return _ok(
+        return (
             ok,
             "on each unit chart an explicit group element kills x1 and x3 "
             "simultaneously, reaching the normal form (0, x2, 0, x4)",
@@ -925,12 +915,12 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
 
     def run_fixed_plane():
         ok = fixed_stratum_check(act, vanishing(Ideal(X4, [x2, x4])))
-        return _ok(ok, "action polynomials reduce to the coordinates on x2 = x4 = 0")
+        return ok, "action polynomials reduce to the coordinates on x2 = x4 = 0"
 
     def run_projection():
         full = image_closure(proj, punctured_cone).is_zero_ideal()
         over_origin = point_in_image(proj, punctured_cone, (0, 0))
-        return _ok(
+        return (
             full and over_origin,
             f"image closure is the whole plane: {full}; fiber over the "
             f"origin nonempty: {over_origin}",
@@ -944,7 +934,7 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
             section=PolyMap(B2, X4, (B2.zero(), b2, third_slot, b4)),
         )
         ok = verify_section(proj, cone, sec)
-        return _ok(ok, f"section (0, b2, {format_poly(third_slot)}, b4) into the cone: {ok}")
+        return ok, f"section (0, b2, {format_poly(third_slot)}, b4) into the cone: {ok}"
 
     def run_section_punctured():
         sec = SectionSpec(
@@ -952,13 +942,13 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
             section=PolyMap(B2, X4, (B2.zero(), b2, B2.zero(), b4)),
         )
         ok = verify_section(proj, punctured_cone, sec)
-        return _ok(ok, f"section over the punctured plane lands in the punctured cone: {ok}")
+        return ok, f"section over the punctured plane lands in the punctured cone: {ok}"
 
     def run_consistent():
         ok = check_consistent_on_overlap(pred, cone)
         swapped = ProjectivePairPredicate(X4, (x2, x4), (x1, -x3))
         ok2 = check_consistent_on_overlap(swapped, cone)
-        return _ok(
+        return (
             ok and ok2,
             "cross product of the two pairs is the cone equation, a member "
             "of the cone ideal (checked with either pair preferred)",
@@ -975,7 +965,7 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         cross_fall = q1 * lift(x4, big) - q2 * lift(x2, big)
         ideal_big = Ideal(big, [lift(cone_poly, big)])
         ok = ideal_member(cross_pref, ideal_big) and cross_fall.is_zero()
-        return _ok(
+        return (
             ok,
             "moving a point along the group changes the preferred pair by a "
             "multiple of the cone equation; the fallback pair is unchanged",
@@ -984,7 +974,7 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
     def run_incidence_symbolic():
         lhs = x2 * (-x3) - x4 * x1
         ok = ideal_member(lhs, cone_ideal)
-        return _ok(
+        return (
             ok,
             f"b2*v - b4*u pulled back along the preferred pair is "
             f"{format_poly(lhs)}, a member of the cone ideal",
@@ -1010,7 +1000,7 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         for pt in pts:
             if evaluate(cone_poly, pt) == 0 and incidence_ok(pred, (x2, x4), pt):
                 good += 1
-        return _ok(good == 50, f"{good}/50 sampled cone points satisfy the incidence equation")
+        return good == 50, f"{good}/50 sampled cone points satisfy the incidence equation"
 
     def run_separation():
         pairs = [
@@ -1025,7 +1015,7 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         )
         want = ["collapsed", "separated", "same-orbit", "separated", "same-orbit"]
         detail = "; ".join(v.describe() for v in verdicts)
-        return _ok([v.verdict for v in verdicts] == want, detail)
+        return [v.verdict for v in verdicts] == want, detail
 
     def run_exceptional():
         params = [(1, 0), (0, 1), (1, 1), (2, 3), (-1, 2)]
@@ -1042,27 +1032,10 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
             for i in range(len(values))
             for j in range(i + 1, len(values))
         )
-        return _ok(
+        return (
             on_fiber and values_ok and distinct,
             "witness family (u, 0, -v, 0) sits over the origin and realizes "
             "5 pairwise distinct projective values",
-        )
-
-    def run_target():
-        return _ok(
-            True,
-            "comparison target: the incidence surface {((b2, b4), (u : v)) "
-            ": b2*v = b4*u}, the plane blown up at the origin, with values "
-            "assembled from the two charts",
-        )
-
-    def run_conclusion():
-        return _ok(
-            True,
-            "criterion: a quotient map must separate closed orbits; the "
-            "separation check shows two distinct fixed orbits share one "
-            "value, so the blow-up candidate is only a constructible "
-            "quotient",
         )
 
     checks = (
@@ -1168,7 +1141,11 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
             KIND_BY_REPRESENTATION,
             "The comparison target is the incidence surface of the plane "
             "blown up at the origin.",
-            run_target,
+            detail=(
+                "comparison target: the incidence surface {((b2, b4), (u : v)) "
+                ": b2*v = b4*u}, the plane blown up at the origin, with values "
+                "assembled from the two charts"
+            ),
         ),
         Check(
             "blowup-collapse-conclusion",
@@ -1176,7 +1153,12 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
             "A map constant on orbits that identifies two distinct closed "
             "orbits admits no geometric quotient structure; the blow-up "
             "candidate works only constructibly.",
-            run_conclusion,
+            detail=(
+                "criterion: a quotient map must separate closed orbits; the "
+                "separation check shows two distinct fixed orbits share one "
+                "value, so the blow-up candidate is only a constructible "
+                "quotient"
+            ),
         ),
     )
 
@@ -1248,7 +1230,7 @@ def run_scenario(name: str) -> Report:
     spec = get_scenario(name)
     results = []
     for check in spec.checks:
-        passed, detail = check.run()
+        passed, detail = (True, check.detail) if check.run is None else check.run()
         results.append(
             CheckResult(
                 id=check.id,
@@ -1260,20 +1242,3 @@ def run_scenario(name: str) -> Report:
         )
     return Report(spec.name, tuple(results))
 
-
-def scenario_catalog() -> tuple:
-    """Static listing: (name, summary, ((check id, kind, claim), ...),
-    negative_control, targeted_check)."""
-    out = []
-    for name in scenario_names():
-        spec = get_scenario(name)
-        out.append(
-            (
-                spec.name,
-                spec.summary,
-                tuple((c.id, c.kind, c.claim) for c in spec.checks),
-                spec.negative_control,
-                spec.targeted_check,
-            )
-        )
-    return tuple(out)

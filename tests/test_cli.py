@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -368,6 +369,36 @@ def test_console_script_end_to_end():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "true"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sizes the pipe with F_SETPIPE_SZ")
+def test_console_script_dies_quietly_when_its_pipe_closes():
+    """`dcoset catalog --json | head -1`: the installed script closes on the
+    broken pipe without a BrokenPipeError traceback."""
+    import fcntl
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["dcoset"]
+    module, func = target.split(":")
+    src = str(Path(dcoset.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "catalog", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    # a one-page pipe holds far less than the ~23 kB report, so the script is
+    # still writing when its reader goes away
+    fcntl.fcntl(proc.stdout, fcntl.F_SETPIPE_SZ, 4096)
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert "Traceback" not in err
 
 
 # small polynomial-ish texts; exponents are capped at one digit, since

@@ -33,6 +33,9 @@ from dcoset.fforacle import (
     ImageEnumeration,
     OrbitCensus,
     _census_check,
+    _image_check,
+    _points,
+    _set_source,
     _sweep,
     _tuple_source,
     cross_check,
@@ -40,9 +43,8 @@ from dcoset.fforacle import (
     enumerate_orbits,
     group_elements,
     oracle_work,
-    set_pred_mod_p,
 )
-from dcoset.scenarios import CensusShadow, get_scenario, scenario_names
+from dcoset.scenarios import CensusShadow, ImageShadow, get_scenario, scenario_names
 
 
 def _compile_map(polys, p, arity=3):
@@ -100,15 +102,16 @@ def test_guard_violation():
     assert issubclass(GuardViolation, ArithmeticError)
 
 
-def test_set_pred_mod_p():
+def _set_points(s, p):
+    """The F_p-points of a constructible set, through the oracle's collector."""
+    return _points("predicted", p, s.ring.arity, _set_source(s, p))
+
+
+def test_set_points_mod_p():
     R = RingCtx(("x", "y"))
     x, y = R.gens()
     s = locally_closed(Ideal(R, [x * y]), Ideal(R, [x]))
-    member = set_pred_mod_p(s, 3)
-    assert member((1, 0))
-    assert not member((0, 1))
-    assert not member((0, 0))
-    assert not member((1, 1))
+    assert _set_points(s, 3) == [(1, 0), (2, 0)]
 
 
 # -- compiled evaluators against polyring.evaluate, reduced mod p
@@ -195,11 +198,13 @@ _PIECES = _pieces(_R3)
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_PIECES, max_size=3).map(lambda ps: ConstructibleSet(_R3, ps)), _TEST_PRIMES, st.data())
-def test_set_pred_mod_p_matches_piece_membership(s, p, data):
-    member = set_pred_mod_p(s, p)
+def test_set_points_match_piece_membership(s, p, data):
+    points = _set_points(s, p)
+    assert points == sorted(set(points))  # enumeration order, no repeats
+    members = set(points)
     for _ in range(5):
         point = data.draw(st.tuples(*[st.integers(0, p - 1)] * 3))
-        assert member(point) is _in_set_mod_p(s, point, p)
+        assert (point in members) is _in_set_mod_p(s, point, p)
 
 
 # -- the generated sweeps against enumerations written out in the test
@@ -324,11 +329,55 @@ def test_enumerate_image_matches_reference(case):
     assert enumerate_image(f, domain, FpConfig(p)) == _reference_image(f, domain, p)
 
 
+def _reference_image_check(shadow, p):
+    """_image_check point by point over the target, with evaluate mod p."""
+    image = set(_reference_image(shadow.map, shadow.domain, p).points)
+    total = agree = predicted = 0
+    first = ""
+    for q in _all_points(p, shadow.map.target.arity):
+        enumerated, member = q in image, _in_set_mod_p(shadow.predicted, q, p)
+        total += 1
+        predicted += member
+        if enumerated == member:
+            agree += 1
+        elif not first:
+            first = (
+                f"; first mismatch at {q}: enumerated={'in' if enumerated else 'out'}, "
+                f"predicted={'in' if member else 'out'}"
+            )
+    detail = (
+        f"{agree}/{total} points agree; enumerated image has {len(image)} "
+        f"points; predicted set has {predicted}{first}"
+    )
+    return agree == total, detail
+
+
+@st.composite
+def _image_check_cases(draw):
+    f, domain, p = draw(_image_cases())
+    predicted = draw(st.lists(_pieces(f.target), max_size=2))
+    return ImageShadow("image", "", f, domain, ConstructibleSet(f.target, predicted)), p
+
+
+_T, _XY = RingCtx(("t",)), _SPACES[2]
+_PARABOLA = PolyMap(_T, _XY, (_T.gen("t"), _T.gen("t") ** 2))
+_ON_PARABOLA = vanishing(Ideal(_XY, [_XY.gen("y") - _XY.gen("x") ** 2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_image_check_cases())
+@example((ImageShadow("image", "", _PARABOLA, None, _ON_PARABOLA), 5))  # agreement
+@example((ImageShadow("image", "", _PARABOLA, None, whole_space(_XY)), 3))  # mismatches
+def test_image_check_matches_point_by_point_reference(case):
+    shadow, p = case
+    assert _image_check(shadow, FpConfig(p)) == _reference_image_check(shadow, p)
+
+
 # every name the generated code may use besides the locals x0, x1, ... and
 # y0, y1, ...: the sweep's own locals and arguments and the methods it calls
 _SCAFFOLD = frozenset(
     "def return for in if and or not continue True False "
-    "sweep member P E n x seen sizes fixed stratum escape len add orbit size get".split()
+    "sweep P E n x seen sizes fixed stratum escape len add orbit size get".split()
 )
 _OPERATORS = frozenset("( ) [ ] { } , : . = += |= * ** + % ==".split())
 _LAYOUT = (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
@@ -352,8 +401,8 @@ def _assert_generated_grammar(source):
 @given(_census_cases(), _image_cases(), _TEST_PRIMES, st.data())
 def test_generated_source_is_ints_and_indices(census, image, p, data):
     """Every source the oracle compiles: the group, census and image sweeps,
-    a membership predicate, and a map with rational coefficients and large
-    exponents."""
+    a constructible set's point collector, and a map with rational
+    coefficients and large exponents."""
     spec, domain, stratum, q = census
     f, source_domain, r = image
     polys = data.draw(st.lists(_reducible_polys(p), max_size=4))
@@ -363,10 +412,10 @@ def test_generated_source_is_ints_and_indices(census, image, p, data):
         except ValueError:  # the domain is not stable under the action
             pass
         enumerate_image(f, source_domain, FpConfig(r))
-        set_pred_mod_p(ConstructibleSet(_R3, data.draw(st.lists(_PIECES, max_size=3))), p)
+        _set_points(ConstructibleSet(_R3, data.draw(st.lists(_PIECES, max_size=3))), p)
         _compile_map(polys, p)
     sources = [call.args[0] for call in spy.call_args_list]
-    assert [s.split("(")[0] for s in sources] == ["def sweep"] * 3 + ["def member", "def sweep"]
+    assert [s.split("(")[0] for s in sources] == ["def sweep"] * 5
     for source in sources:
         _assert_generated_grammar(source)
 
@@ -421,13 +470,13 @@ def test_generated_functions_are_named_by_kind_and_prime(monkeypatch):
     R = RingCtx(("t",))
     parabola = PolyMap(R, RingCtx(("x", "y")), (R.gen("t"), R.gen("t") ** 2))
     enumerate_image(parabola, None, FpConfig(5))
-    set_pred_mod_p(whole_space(R), 7)
+    _set_points(whole_space(R), 7)
     names = [f.__code__.co_filename for f in made]
     assert names == [
         "<dcoset group sweep p=3>",
         "<dcoset census sweep p=3>",
         "<dcoset image sweep p=5>",
-        "<dcoset member p=7>",
+        "<dcoset predicted sweep p=7>",
     ]
     assert not any(name in linecache.cache for name in names)
 

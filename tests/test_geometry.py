@@ -20,7 +20,7 @@ from dcoset.geometry import (
     vanishing,
     whole_space,
 )
-from dcoset.fforacle import set_pred_mod_p
+from dcoset.fforacle import _points, _set_source
 from dcoset.scenarios import _shear_core
 
 
@@ -157,8 +157,8 @@ def test_set_algebra_keeps_empty_pieces_and_predicates_skip_them(xy):
     for pt in itertools.product(range(-3, 4), repeat=2):
         assert contains_point(both, pt) == contains_point(a, pt)
     for p in (5, 7):  # no denominator of the pieces is divisible by p
-        in_both, in_a = set_pred_mod_p(both, p), set_pred_mod_p(a, p)
-        assert all(in_both(pt) == in_a(pt) for pt in itertools.product(range(p), repeat=2))
+        in_both, in_a = (_points("predicted", p, 2, _set_source(s, p)) for s in (both, a))
+        assert in_both == in_a
 
 
 def test_same_set_is_representation_independent(xy):

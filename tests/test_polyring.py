@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcoset.groebner import Ideal, groebner_basis, normal_form
@@ -280,3 +280,48 @@ def test_integral_fraction_constant_is_its_int(n):
     a, b = _R3.const(Fraction(n)), _R3.const(n)
     assert a == b and hash(a) == hash(b) and str(a) == str(b)
     assert all(type(v) is int for v in a.terms.values())
+
+
+# the public constructor: exponent tuples of the ring's arity, exact values
+
+_monomials = st.tuples(*[st.integers(0, 3)] * 3)
+_not_an_exponent = st.floats(0, 3) | st.text(max_size=1) | st.booleans() | st.none()
+_bad_exponents = st.one_of(
+    st.lists(st.integers(0, 3), max_size=5).filter(lambda e: len(e) != 3).map(tuple),
+    st.tuples(st.integers(-5, -1), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(_not_an_exponent, st.integers(0, 3), st.integers(0, 3)),
+    st.integers(0, 3) | st.text(max_size=2),
+).flatmap(lambda e: st.permutations(e).map(tuple) if type(e) is tuple else st.just(e))
+
+
+@given(st.dictionaries(_monomials, _scalars, max_size=6))
+@example({(0, 0, 0): 0})
+@example({(1, 0, 2): Fraction(6, 3), (0, 1, 0): False, (0, 0, 1): True})
+@settings(max_examples=100, deadline=None)
+def test_term_map_equals_its_sum_of_monomials(terms):
+    p = Polynomial(_R3, terms)
+    total = sum((_R3.monomial(m, c) for m, c in terms.items()), _R3.zero())
+    assert p == total and str(p) == str(total) and p.terms == total.terms
+    assert p.is_zero() is all(c == 0 for c in terms.values())
+    assert all(c != 0 and _normal(c) for c in p.terms.values())
+
+
+@given(st.dictionaries(_monomials, _scalars, max_size=4), _bad_exponents, _scalars)
+@example({}, (1, 0, 0, 0), 1)  # one exponent too many is not dropped
+@example({}, (1.9, 0, 0), 1)  # nor is a float truncated
+@example({}, ("2", 0, 0), 1)  # nor a digit string parsed
+@settings(max_examples=100, deadline=None)
+def test_malformed_exponents_raise(terms, bad, c):
+    with pytest.raises((TypeError, ValueError)):
+        Polynomial(_R3, {**terms, bad: c})
+    with pytest.raises((TypeError, ValueError)):
+        _R3.monomial(bad, c)
+
+
+@given(st.dictionaries(_monomials, _scalars, max_size=4), _monomials, st.floats(allow_nan=False))
+@settings(max_examples=50, deadline=None)
+def test_float_values_raise(terms, m, value):
+    with pytest.raises(TypeError):
+        Polynomial(_R3, {**terms, m: value})
+    with pytest.raises(TypeError):
+        _R3.monomial(m, value)

@@ -2,9 +2,9 @@ import pytest
 
 from dcoset.report import KIND_BY_CRITERION, KIND_BY_REPRESENTATION, KIND_VERIFIED
 from dcoset.scenarios import (
+    Check,
     get_scenario,
     run_scenario,
-    scenario_catalog,
     scenario_names,
 )
 
@@ -47,24 +47,46 @@ def test_reports_are_deterministic():
 
 
 def test_catalog_shape():
-    entries = {e[0]: e for e in scenario_catalog()}
-    assert set(entries) == set(scenario_names())
-    name, summary, checks, negative, targeted = entries["example1"]
-    assert len(checks) >= 6
-    assert not negative
-    assert targeted is None
-    _, _, _, mneg, mtarget = entries["example1-mutated"]
-    assert mneg and mtarget == "invariants-constant-on-orbits"
+    specs = {name: get_scenario(name) for name in scenario_names()}
+    assert all(spec.name == name for name, spec in specs.items())
+    spec = specs["example1"]
+    assert len(spec.checks) >= 6
+    assert not spec.negative_control
+    assert spec.targeted_check is None
+    mutant = specs["example1-mutated"]
+    assert mutant.negative_control and mutant.targeted_check == "invariants-constant-on-orbits"
 
 
 def test_every_check_has_claim_and_valid_kind():
     kinds = {KIND_VERIFIED, KIND_BY_CRITERION, KIND_BY_REPRESENTATION}
-    for name, _, checks, _, _ in scenario_catalog():
-        ids = [cid for cid, _, _ in checks]
+    for name in scenario_names():
+        checks = get_scenario(name).checks
+        ids = [c.id for c in checks]
         assert len(ids) == len(set(ids)), f"duplicate check ids in {name}"
-        for cid, kind, claim in checks:
-            assert kind in kinds
-            assert claim.strip()
+        for c in checks:
+            assert c.kind in kinds
+            assert c.claim.strip()
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_exactly_the_declared_checks_have_no_run(name):
+    checks = get_scenario(name).checks
+    declared = [c.id for c in checks if c.kind != KIND_VERIFIED]
+    assert [c.id for c in checks if c.run is None] == declared
+    assert all(c.detail.strip() for c in checks if c.run is None)
+
+
+def test_check_kind_decides_whether_it_runs():
+    def run():
+        return True, "computed"
+
+    Check("computed", KIND_VERIFIED, "claim", run)
+    Check("declared", KIND_BY_CRITERION, "claim", detail="criterion")
+    with pytest.raises(ValueError, match="'computed' of kind verified needs a run"):
+        Check("computed", KIND_VERIFIED, "claim", detail="no computation")
+    for kind in (KIND_BY_CRITERION, KIND_BY_REPRESENTATION):
+        with pytest.raises(ValueError, match=f"'declared' of kind {kind} needs no run"):
+            Check("declared", kind, "claim", run)
 
 
 def test_conclusion_lines_are_by_criterion():
