@@ -11,7 +11,6 @@ from .polyring import (
     LEX,
     MonomialOrder,
     Polynomial,
-    RationalPoint,
     RingCtx,
     RingMismatchError,
     block_order,

@@ -15,7 +15,6 @@ from typing import Callable, Mapping, Sequence
 
 from .polyring import (
     Polynomial,
-    RationalPoint,
     RingCtx,
     Scalar,
     as_point,
@@ -102,8 +101,7 @@ class GroupActionSpec:
             raise ValueError("identity must assign every parameter")
         object.__setattr__(self, "identity", ident)
         # the identity element must satisfy the group constraints ...
-        pring = self.constraint.ring
-        ipoint = pring.point([ident[p] for p in self.params])
+        ipoint = tuple(ident[p] for p in self.params)
         for g in self.constraint.generators:
             if evaluate(g, ipoint) != 0:
                 raise ValueError(f"identity element violates the constraint {g}")
@@ -121,15 +119,14 @@ class GroupActionSpec:
     def param_ring(self) -> RingCtx:
         return self.constraint.ring
 
-    def act_on_point(self, group_point, point) -> RationalPoint:
+    def act_on_point(self, group_point, point) -> tuple:
         """Apply a specific group element (parameter tuple) to a space point."""
         p = as_point(self.param_ring(), group_point)
         for g in self.constraint.generators:
             if evaluate(g, p) != 0:
                 raise ValueError(f"parameters {p!r} do not satisfy the group constraint")
-        x = as_point(self.space, point)
-        combined_pt = self._combined.point(tuple(x.coords) + tuple(p.coords))
-        return RationalPoint(self.space, [evaluate(a, combined_pt) for a in self.action])
+        xp = as_point(self.space, point) + p
+        return tuple(evaluate(a, xp) for a in self.action)
 
     def constraint_in_combined(self) -> Ideal:
         """Built once, so its Groebner basis is computed once."""
@@ -163,7 +160,7 @@ def _orbit_graph(spec: GroupActionSpec, start, big: RingCtx) -> Ideal:
 def orbit_closure(spec: GroupActionSpec, point) -> Ideal:
     """Ideal of the Zariski closure of the orbit of a rational point: the
     group parameters eliminated from the graph of the action at it."""
-    graph = _orbit_graph(spec, as_point(spec.space, point).coords, spec.combined)
+    graph = _orbit_graph(spec, as_point(spec.space, point), spec.combined)
     return eliminate(graph, set(spec.params), into=spec.space)
 
 
@@ -173,9 +170,9 @@ def same_orbit(spec: GroupActionSpec, p, q) -> bool:
     pp = as_point(spec.space, p)
     qq = as_point(spec.space, q)
     pring = spec.param_ring()
-    assignment = {v: c for v, c in zip(spec.space.vars, pp.coords)}
+    assignment = {v: c for v, c in zip(spec.space.vars, pp)}
     gens = []
-    for a, target in zip(spec.action, qq.coords):
+    for a, target in zip(spec.action, qq):
         moved = substitute(a, assignment, into=pring)
         gens.append(moved - pring.const(target))
     gens.extend(spec.constraint.generators)
@@ -222,7 +219,7 @@ def base_in_all_orbit_closures(spec: GroupActionSpec, base_point) -> bool:
     closed = eliminate(_orbit_graph(spec, start, big), set(spec.params))
     # substitute the base point for the space variables; what is left must
     # vanish identically in the symbolic start coordinates
-    sub = {v: c for v, c in zip(spec.space.vars, base.coords)}
+    sub = {v: c for v, c in zip(spec.space.vars, base)}
     for g in closed.generators:
         if not substitute(g, sub, into=closed.ring).is_zero():
             return False
@@ -259,7 +256,7 @@ def separation_report_with(
             verdict = "separated"
         else:
             verdict = "collapsed"
-        out.append(PairVerdict(tuple(pp.coords), tuple(qq.coords), verdict))
+        out.append(PairVerdict(pp, qq, verdict))
     return out
 
 

@@ -22,7 +22,7 @@ import sys
 
 from .polyring import GREVLEX, LEX, RingCtx, extend_ring, format_poly
 from .groebner import Ideal, eliminate, groebner_basis, ideal_member, radical_member, saturate
-from .geometry import ConstructibleSet, locally_closed, vanishing, whole_space
+from .geometry import ConstructibleSet, locally_closed
 from .morphism import PolyMap, image_closure, point_in_image
 from .action import GroupActionSpec, orbit_closure, same_orbit
 from .parsing import parse_point, parse_poly, parse_polys
@@ -72,12 +72,8 @@ def _print_basis(gens) -> None:
 
 
 def _domain(ring: RingCtx, carrier_arg, excluded_arg) -> ConstructibleSet:
-    carrier = _optional_ideal(carrier_arg, ring)
-    if excluded_arg:
-        return locally_closed(carrier, _optional_ideal(excluded_arg, ring))
-    if carrier.generators:
-        return vanishing(carrier)
-    return whole_space(ring)
+    excluded = _optional_ideal(excluded_arg, ring) if excluded_arg else None
+    return locally_closed(_optional_ideal(carrier_arg, ring), excluded)
 
 
 _BUILTIN_ACTIONS = {

@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 class Ideal:
-    """A finitely generated ideal; each order's reduced basis is cached with its divisors."""
+    """A finitely generated ideal; its one reduced basis is cached with its divisors."""
 
     __slots__ = ("ring", "generators", "_gb")
 

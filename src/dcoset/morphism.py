@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .polyring import (
     Polynomial,
-    RationalPoint,
     RingCtx,
     as_point,
     evaluate,
@@ -89,9 +88,9 @@ class PolyMap:
         self.target = target
         self.coords = coords
 
-    def apply(self, point) -> RationalPoint:
+    def apply(self, point) -> tuple:
         pt = as_point(self.source, point)
-        return RationalPoint(self.target, [evaluate(c, pt) for c in self.coords])
+        return tuple(evaluate(c, pt) for c in self.coords)
 
     def __repr__(self):
         cs = ", ".join(str(c) for c in self.coords)
@@ -119,7 +118,7 @@ def image_closure(f: PolyMap, domain: ConstructibleSet) -> Ideal:
 def point_in_image(f: PolyMap, domain: ConstructibleSet, point) -> bool:
     """Exact membership of a target point in f(domain): is the fiber nonempty?"""
     q = as_point(f.target, point)
-    fiber_gens = [c - f.source.const(v) for c, v in zip(f.coords, q.coords)]
+    fiber_gens = [c - f.source.const(v) for c, v in zip(f.coords, q)]
     fiber = intersection(domain, vanishing(Ideal(f.source, fiber_gens)))
     return not is_empty(fiber)
 

@@ -33,7 +33,6 @@ __all__ = [
     "EXPONENT_LIMIT",
     "RingCtx",
     "Polynomial",
-    "RationalPoint",
     "as_point",
     "as_rational",
     "substitute",
@@ -281,9 +280,6 @@ class RingCtx:
             raise ValueError(f"exponents must be nonnegative, got {exps}")
         return exps
 
-    def point(self, coords: Sequence[Scalar]) -> "RationalPoint":
-        return RationalPoint(self, coords)
-
     def __eq__(self, other):
         return (
             isinstance(other, RingCtx)
@@ -493,50 +489,16 @@ class Polynomial:
 # points
 
 
-class RationalPoint:
-    """A point of affine space with exact rational coordinates."""
-
-    __slots__ = ("ring", "coords")
-
-    def __init__(self, ring: RingCtx, coords: Sequence[Scalar]):
-        cs = tuple(as_rational(c) for c in coords)
-        if len(cs) != ring.arity:
-            raise ValueError(
-                f"point has {len(cs)} coordinates, ring {ring!r} has arity {ring.arity}"
-            )
-        self.ring = ring
-        self.coords = cs
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __eq__(self, other):
-        if isinstance(other, RationalPoint):
-            return self.ring.vars == other.ring.vars and self.coords == other.coords
-        if isinstance(other, tuple):
-            return self.coords == tuple(as_rational(c) for c in other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring.vars, self.coords))
-
-    def __repr__(self):
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
-
-def as_point(ring: RingCtx, value) -> RationalPoint:
-    """Accept a RationalPoint or any coordinate sequence."""
-    if isinstance(value, RationalPoint):
-        if value.ring.vars != ring.vars:
-            raise RingMismatchError("point belongs to a different ring")
-        return value
-    return RationalPoint(ring, value)
+def as_point(ring: RingCtx, value) -> tuple:
+    """A point of ``ring``'s affine space as a tuple of exact coordinates,
+    each normalized by `as_rational`; the wrong number of coordinates
+    raises ValueError."""
+    pt = tuple(as_rational(c) for c in value)
+    if len(pt) != ring.arity:
+        raise ValueError(
+            f"point has {len(pt)} coordinates, ring {ring!r} has arity {ring.arity}"
+        )
+    return pt
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +511,7 @@ def evaluate(p: Polynomial, point) -> Scalar:
     total = _ZERO
     for m, c in p.terms.items():
         v = c
-        for x, e in zip(pt.coords, m):
+        for x, e in zip(pt, m):
             if e:
                 v *= x**e
         total += v

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
-from dcoset.polyring import RingCtx, extend_ring
+from dcoset.polyring import RingCtx, as_point, extend_ring
 from dcoset.groebner import Ideal, equal_ideals
 from dcoset.geometry import vanishing, whole_space
 from dcoset.morphism import PolyMap
+from dcoset.parsing import parse_point
 from dcoset.action import (
     GroupActionSpec,
     NonInvariantMapError,
@@ -63,8 +66,6 @@ def test_act_on_point(shear):
 
 
 def test_act_on_point_checks_constraint(scaling):
-    from fractions import Fraction
-
     with pytest.raises(ValueError):
         scaling.act_on_point((2, 3), (1, 1))  # 2*3 != 1
     assert scaling.act_on_point((2, Fraction(1, 2)), (1, 1)) == (2, 2)
@@ -162,3 +163,31 @@ def test_separation_report_with_custom_equality(shear):
         lambda p, q: True,
     )
     assert verdicts[0].verdict == "same-orbit"
+
+
+def test_points_are_plain_tuples(shear, scaling):
+    """Every point the API takes in or hands back is a plain tuple, its
+    integral coordinates ints, normalized by `as_point` alone."""
+    half = Fraction(1, 2)
+    M = shear.space
+    a11, a12, a21, a22 = M.gens()
+    inv = PolyMap(M, RingCtx(("b1", "b2", "d")), (a21, a22, a11 * a22 - a12 * a21))
+    p = (Fraction(4, 2), half, 1, 0)
+    [v] = separation_report(shear, inv, [(p, (Fraction(6, 2), half, 1, 0))])
+    points = [
+        (as_point(M, p), (2, half, 1, 0)),
+        (parse_point("4/2,1/2,1,0", 4), (2, half, 1, 0)),
+        (inv.apply(p), (1, 0, -half)),
+        (shear.act_on_point((Fraction(2),), p), (4, half, 1, 0)),
+        (scaling.act_on_point((2, half), (half, 3)), (1, 6)),
+        (v.p, (2, half, 1, 0)),
+        (v.q, (3, half, 1, 0)),
+    ]
+    for got, want in points:
+        assert type(got) is tuple and got == want
+        assert all(type(c) is int or c.denominator != 1 for c in got)
+    assert v.verdict == "same-orbit"
+    with pytest.raises(ValueError, match="point has 3 coordinates, ring .* has arity 4"):
+        as_point(M, (1, 2, 3))
+    with pytest.raises(TypeError):
+        as_point(M, (1.0, 0, 0, 0))

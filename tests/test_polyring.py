@@ -12,6 +12,7 @@ from dcoset.polyring import (
     Polynomial,
     RingCtx,
     RingMismatchError,
+    as_point,
     block_order,
     evaluate,
     extend_ring,
@@ -164,7 +165,7 @@ def test_format_examples(xy):
 
 def test_point_validation(xy):
     with pytest.raises(ValueError):
-        xy.point((1,))
+        as_point(xy, (1,))
 
 
 # property tests: ring laws on small random polynomials
@@ -258,11 +259,11 @@ def _coefficients(*ps):
 def test_values_are_ints_when_integral(p, q, coords, gens, f, c):
     built = (_R3.const(c), _R3.monomial((1, 0, 2), c), _R3.gen("y"))
     assert all(map(_normal, _coefficients(*built)))
-    point = _R3.point(coords)
+    point = as_point(_R3, coords)
     assert all(map(_normal, point))
     assert _normal(evaluate(p, point))
     parsed = parse_point(",".join(map(str, point)), 3)
-    assert parsed == point.coords and all(map(_normal, parsed))
+    assert parsed == point and all(map(_normal, parsed))
     assert all(map(_normal, _coefficients(parse_poly(format_poly(p), _R3))))
 
     computed = (p + q, p - q, p * q, p**2, -p, c * p, p + Fraction(1, 2))
@@ -310,10 +311,13 @@ def test_term_map_equals_its_sum_of_monomials(terms):
 @example({}, (1, 0, 0, 0), 1)  # one exponent too many is not dropped
 @example({}, (1.9, 0, 0), 1)  # nor is a float truncated
 @example({}, ("2", 0, 0), 1)  # nor a digit string parsed
+@example({(0, 0, 0): 0}, (0.0, 0, 0), 0)  # a key equal to a valid one
+@example({(1, 0, 0): 1}, (True, 0, 0), 1)
 @settings(max_examples=100, deadline=None)
 def test_malformed_exponents_raise(terms, bad, c):
+    # a dict keeps the first of two equal keys, so ``bad`` goes first
     with pytest.raises((TypeError, ValueError)):
-        Polynomial(_R3, {**terms, bad: c})
+        Polynomial(_R3, {bad: c, **terms})
     with pytest.raises((TypeError, ValueError)):
         _R3.monomial(bad, c)
 

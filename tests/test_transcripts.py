@@ -73,6 +73,57 @@ CASES = (
     ["eliminate", "--ring", "x,y", "--ideal", "x - y", "--drop", "x,y"],
     ["orbit", "--space", "x", "--params", "t", "--act", "x, t", "--identity", "1", "--point", "1"],
     ["verify"],
+    # domains cut by --carrier and --excluded, rational points, custom actions
+    ["image", "--ring", "s,t", "--target", "x,y,z", "--map", "s, s*t, t", "--carrier", "s - t"],
+    ["image", "--ring", "s,t", "--target", "x,y,z", "--map", "s, s*t, t", "--excluded", "s"],
+    [
+        "image",
+        "--ring", "a11,a12,a21,a22",
+        "--target", "b1,b2",
+        "--map", "a21, a22",
+        "--carrier", "a11*a22 - a12*a21 - 1",
+        "--excluded", "a21",
+    ],
+    ["fiber", "--ring", "s,t", "--target", "x,y,z", "--map", "s, s*t, t", "--carrier", "s - t", "--point", "2,4,2"],
+    ["fiber", "--ring", "s,t", "--target", "x,y,z", "--map", "s, s*t, t", "--carrier", "s - t", "--point", "2,6,3"],
+    ["fiber", "--ring", "s,t", "--target", "x,y,z", "--map", "s, s*t, t", "--excluded", "s", "--point", "0,0,3"],
+    [
+        "fiber",
+        "--ring", "a11,a12,a21,a22",
+        "--target", "b1,b2,d",
+        "--map", "a21, a22, a11*a22 - a12*a21",
+        "--carrier", "a11 - a22",
+        "--excluded", "a21",
+        "--point", "1/2,0,-3/2",
+    ],
+    [
+        "fiber",
+        "--ring", "a11,a12,a21,a22",
+        "--target", "b1,b2,d",
+        "--map", "a21, a22, a11*a22 - a12*a21",
+        "--point", "0,0,1/2",
+    ],
+    ["orbit", "--space", "x,y", "--params", "t", "--act", "x + t*y, y", "--identity", "0", "--point", "1,2"],
+    [
+        "orbit",
+        "--space", "x,y", "--params", "t", "--act", "x + t*y, y", "--identity", "0",
+        "--point", "1,2", "--same-as", "5,2",
+    ],
+    [
+        "orbit",
+        "--space", "x,y", "--params", "s,u", "--act", "s*x, s*y",
+        "--constraint", "s*u - 1", "--identity", "1,1", "--point", "1/2,1",
+    ],
+    [
+        "orbit",
+        "--space", "x,y", "--params", "s,u", "--act", "s*x, s*y",
+        "--constraint", "s*u - 1", "--identity", "1,1", "--point", "1/2,1", "--same-as", "1,2",
+    ],
+    [
+        "orbit",
+        "--space", "x,y", "--params", "s,u", "--act", "s*x, s*y",
+        "--constraint", "s*u - 1", "--identity", "1,1", "--point", "1/2,1", "--same-as", "0,0",
+    ],
 )
 
 
