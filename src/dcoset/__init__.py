@@ -72,6 +72,7 @@ from .action import (
     base_in_all_orbit_closures,
     check_invariant,
     fixed_stratum_check,
+    generic_orbit_closure,
     orbit_closure,
     same_orbit,
     separation_report,

@@ -44,6 +44,7 @@ __all__ = [
     "orbit_closure",
     "same_orbit",
     "fixed_stratum_check",
+    "generic_orbit_closure",
     "base_in_all_orbit_closures",
     "separation_report",
     "separation_report_with",
@@ -200,30 +201,31 @@ def fixed_stratum_check(spec: GroupActionSpec, stratum: ConstructibleSet) -> boo
     return True
 
 
-def base_in_all_orbit_closures(spec: GroupActionSpec, base_point) -> bool:
-    """Does the closure of every orbit contain the given point?
-
-    Works with a fully symbolic starting point: fresh variables replace
-    the space coordinates, the parameters are eliminated from the graph of
-    the action, and the base point is substituted into the result.  True
-    iff every eliminated generator then vanishes identically in the
-    symbolic coordinates.
-    """
-    base = as_point(spec.space, base_point)
+def generic_orbit_closure(spec: GroupActionSpec) -> Ideal:
+    """Orbit closures of all points at once: the group parameters
+    eliminated from the graph of the action at a fully symbolic start
+    point.  The ideal lives over the space variables followed by one fresh
+    copy ``<v>_0`` per space variable, which stands for the start point."""
     sym_names = tuple(f"{v}_0" for v in spec.space.vars)
     clash = set(sym_names) & (set(spec.space.vars) | set(spec.params))
     if clash:
         raise ValueError(f"cannot build symbolic start point, names clash: {sorted(clash)}")
     big = RingCtx(spec.space.vars + spec.params + sym_names)
     start = [big.gen(s) for s in sym_names]
-    closed = eliminate(_orbit_graph(spec, start, big), set(spec.params))
-    # substitute the base point for the space variables; what is left must
-    # vanish identically in the symbolic start coordinates
-    sub = {v: c for v, c in zip(spec.space.vars, base)}
-    for g in closed.generators:
-        if not substitute(g, sub, into=closed.ring).is_zero():
-            return False
-    return True
+    return eliminate(_orbit_graph(spec, start, big), set(spec.params))
+
+
+def base_in_all_orbit_closures(spec: GroupActionSpec, base_point) -> bool:
+    """Does the closure of every orbit contain the given point?
+
+    True iff every generator of the generic orbit closure vanishes
+    identically in the symbolic start coordinates once the base point is
+    substituted for the space variables.
+    """
+    base = as_point(spec.space, base_point)
+    closed = generic_orbit_closure(spec)
+    sub = dict(zip(spec.space.vars, base))
+    return all(substitute(g, sub, into=closed.ring).is_zero() for g in closed.generators)
 
 
 @dataclass(frozen=True)

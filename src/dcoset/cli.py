@@ -25,6 +25,7 @@ from .groebner import Ideal, eliminate, groebner_basis, ideal_member, radical_me
 from .geometry import ConstructibleSet, locally_closed
 from .morphism import PolyMap, image_closure, point_in_image
 from .action import GroupActionSpec, orbit_closure, same_orbit
+from .fforacle import DEFAULT_PRIMES, FpConfig, cross_check, oracle_work
 from .parsing import parse_point, parse_poly, parse_polys
 from .report import merge_reports
 from .scenarios import (
@@ -122,8 +123,6 @@ def _resolve_action(args) -> GroupActionSpec:
 
 def _oracle_primes(args) -> tuple:
     if args.primes is None:
-        from .fforacle import DEFAULT_PRIMES
-
         return DEFAULT_PRIMES
     try:
         primes = tuple(int(tok) for tok in args.primes.split(",") if tok.strip())
@@ -231,8 +230,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .fforacle import FpConfig, cross_check, oracle_work
-
     primes = _oracle_primes(args)
     shadows = get_scenario(args.scenario).shadows
     # bound the work before FpConfig tests primality by trial division,

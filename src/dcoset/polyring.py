@@ -20,6 +20,7 @@ built with `block_order` for elimination.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -392,18 +393,23 @@ class Polynomial:
             return self.ring.const(other)
         return None
 
-    def __add__(self, other):
+    def _merge(self, other, op):
+        """self op other for op in (operator.add, operator.sub), merging
+        other's terms into a copy of self's."""
         q = self._coerce(other)
         if q is None:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in q.terms.items():
-            v = terms.get(m, _ZERO) + c
+            v = op(terms.get(m, _ZERO), c)
             if v:
                 terms[m] = v
             else:
                 terms.pop(m, None)
         return Polynomial._new(self.ring, terms)
+
+    def __add__(self, other):
+        return self._merge(other, operator.add)
 
     __radd__ = __add__
 
@@ -411,17 +417,7 @@ class Polynomial:
         return Polynomial._new(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for m, c in q.terms.items():
-            v = terms.get(m, _ZERO) - c
-            if v:
-                terms[m] = v
-            else:
-                terms.pop(m, None)
-        return Polynomial._new(self.ring, terms)
+        return self._merge(other, operator.sub)
 
     def __rsub__(self, other):
         q = self._coerce(other)

@@ -24,6 +24,11 @@ by the brute-force oracle.  Checks come in three kinds: ``verified``
 checks plus a quoted criterion), and ``by-representation`` (facts read off
 a declared encoding).  The last two are declared: they carry their
 justification as data and pass by declaration.
+
+Each check is declared once, where it is computed, and a report lists
+the checks in declaration order.  A verified check is its computation
+decorated with ``@checks.verified(id, claim)``; a declared check is one
+call, ``checks.declared(kind, id, claim, detail)``.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .polyring import (
 )
 from .groebner import (
     Ideal,
-    eliminate,
     equal_ideals,
     groebner_basis,
     ideal_member,
@@ -80,6 +84,7 @@ from .action import (
     base_in_all_orbit_closures,
     check_invariant,
     fixed_stratum_check,
+    generic_orbit_closure,
     separation_report,
     separation_report_with,
 )
@@ -120,6 +125,23 @@ class Check:
         if (self.run is None) == (self.kind == KIND_VERIFIED):
             need = "a run" if self.kind == KIND_VERIFIED else "no run"
             raise ValueError(f"check {self.id!r} of kind {self.kind} needs {need}")
+
+
+class _Checks(list):
+    """A scenario's checks in report order, each appended where it is
+    declared."""
+
+    def verified(self, id: str, claim: str) -> Callable:
+        """Decorator: the function computes (passed, detail) for the claim."""
+
+        def declare(run: Callable) -> Callable:
+            self.append(Check(id, KIND_VERIFIED, claim, run))
+            return run
+
+        return declare
+
+    def declared(self, kind: str, id: str, claim: str, detail: str) -> None:
+        self.append(Check(id, kind, claim, detail=detail))
 
 
 @dataclass(frozen=True)
@@ -217,7 +239,10 @@ def isotropic_shear_action() -> GroupActionSpec:
 # shared engine: row-shear action on 2x2 matrices and its invariant map
 
 
-def _shear_core():
+def _row_shear_checks(checks: _Checks, mutated: bool) -> tuple:
+    """Declare the row-shear checks on ``checks``.  Returns the action, the
+    invariant map (a21, a22, det), its predicted image and the orbit-census
+    shadow."""
     shear = row_shear_action()
     M = shear.space
     a11, a12, a21, a22 = M.gens()
@@ -228,35 +253,18 @@ def _shear_core():
     inv_map = PolyMap(M, T, (a21, a22, det))
 
     # predicted image: the whole target minus the punctured line b=0, d != 0
-    missing = locally_closed(Ideal(T, [b1, b2]), Ideal(T, [d]))
-    predicted = difference(whole_space(T), missing)
-
-    return {
-        "M": M,
-        "det": det,
-        "shear": shear,
-        "T": T,
-        "inv_map": inv_map,
-        "missing": missing,
-        "predicted": predicted,
-    }
-
-
-def _quotient_core_checks(core, mutated: bool):
-    M = core["M"]
-    T = core["T"]
-    det = core["det"]
-    shear = core["shear"]
-    inv_map = core["inv_map"]
-    predicted = core["predicted"]
-    a11, a12, a21, a22 = M.gens()
-    b1, b2, d = T.gens()
+    predicted = difference(whole_space(T), locally_closed(Ideal(T, [b1, b2]), Ideal(T, [d])))
 
     # the negative control swaps det for a11 in the declared invariant list
     # only; downstream objects keep the true map so exactly one check breaks
     declared_invariants = (a21, a22, a11 if mutated else det)
 
-    def run_invariants():
+    @checks.verified(
+        "invariants-constant-on-orbits",
+        "The bottom-row entries and the determinant are constant on "
+        "orbits of the row-shear action.",
+    )
+    def _():
         results = [(g, check_invariant(shear, g)) for g in declared_invariants]
         detail = "; ".join(
             f"{format_poly(g)}: {'invariant' if ok else 'NOT invariant'}"
@@ -264,14 +272,24 @@ def _quotient_core_checks(core, mutated: bool):
         )
         return all(ok for _, ok in results), detail
 
-    def run_image_closure():
+    @checks.verified(
+        "image-closure-full-space",
+        "The closure of the image of the invariant map (a21, a22, det) "
+        "is the whole affine 3-space.",
+    )
+    def _():
         cl = image_closure(inv_map, whole_space(M))
         return (
             cl.is_zero_ideal(),
             f"closure ideal of the image: {_polys(cl.generators) if cl.generators else '(0)'}",
         )
 
-    def run_stratum_constraints():
+    @checks.verified(
+        "stratum-constraints-punctured-line",
+        "Over the stratum b1 = b2 = 0, image points satisfy exactly one "
+        "new constraint: d = 0.",
+    )
+    def _():
         stratum = Ideal(T, [b1, b2])
         constraints = parametric_image_constraints(inv_map, whole_space(M), stratum)
         want = Ideal(T, [d])
@@ -280,7 +298,12 @@ def _quotient_core_checks(core, mutated: bool):
             f"constraints beyond the stratum: {_polys(constraints.generators)}",
         )
 
-    def run_punctured_line():
+    @checks.verified(
+        "punctured-line-excluded",
+        "Points (0, 0, d) with d != 0 are not attained: a matrix with "
+        "zero bottom row has zero determinant; the origin is attained.",
+    )
+    def _():
         misses = [(0, 0, 1), (0, 0, -2)]
         hit_origin = point_in_image(inv_map, whole_space(M), (0, 0, 0))
         miss_ok = [not point_in_image(inv_map, whole_space(M), q) for q in misses]
@@ -289,7 +312,13 @@ def _quotient_core_checks(core, mutated: bool):
         )
         return all(miss_ok) and hit_origin, detail
 
-    def run_image_description():
+    @checks.verified(
+        "image-matches-constructible-description",
+        "The image equals the whole target minus the punctured line "
+        "{b1 = b2 = 0, d != 0}: explicit sections cover every predicted "
+        "point.",
+    )
+    def _():
         W4 = RingCtx(("b1", "b2", "d", "w"))
         wb1, wb2, wd, ww = W4.gens()
         zero4 = Ideal(W4, [])
@@ -329,7 +358,12 @@ def _quotient_core_checks(core, mutated: bool):
         )
         return ok1 and ok2 and ok0 and cover_ok, detail
 
-    def run_not_closed():
+    @checks.verified(
+        "image-not-closed",
+        "The image is not closed: its Zariski closure adds the "
+        "punctured line back.",
+    )
+    def _():
         full = closure(predicted).is_zero_ideal()
         proper = not is_empty(difference(whole_space(T), predicted))
         return (
@@ -337,11 +371,17 @@ def _quotient_core_checks(core, mutated: bool):
             "closure of the image is the whole target, yet the image misses the punctured line",
         )
 
-    def run_not_open():
+    @checks.verified("image-not-open", "The image is not open in the target space.")
+    def _():
         open_ = is_open_in(predicted, whole_space(T))
         return not open_, f"is_open_in(image, target) = {open_}"
 
-    def run_fixed_stratum():
+    @checks.verified(
+        "fixed-stratum-collapse",
+        "Matrices with zero bottom row are fixed points and are all "
+        "mapped to the origin of the invariant space.",
+    )
+    def _():
         stratum_ideal = Ideal(M, [a21, a22])
         fixed_ok = fixed_stratum_check(shear, vanishing(stratum_ideal))
         to_origin = all(ideal_member(c, stratum_ideal) for c in inv_map.coords)
@@ -351,7 +391,12 @@ def _quotient_core_checks(core, mutated: bool):
             "coordinates reduce to 0 on the stratum",
         )
 
-    def run_separation():
+    @checks.verified(
+        "separation-trichotomy",
+        "Invariant values separate generic orbits but collapse the "
+        "fixed stratum: distinct fixed points share the value (0,0,0).",
+    )
+    def _():
         pairs = [
             ((0, 0, 1, 1), (3, 3, 1, 1)),
             ((0, 0, 1, 0), (0, 0, 0, 1)),
@@ -362,117 +407,46 @@ def _quotient_core_checks(core, mutated: bool):
         want = ["same-orbit", "separated", "collapsed"]
         return [v.verdict for v in verdicts] == want, detail
 
-    return [
-        Check(
-            "invariants-constant-on-orbits",
-            KIND_VERIFIED,
-            "The bottom-row entries and the determinant are constant on "
-            "orbits of the row-shear action.",
-            run_invariants,
-        ),
-        Check(
-            "image-closure-full-space",
-            KIND_VERIFIED,
-            "The closure of the image of the invariant map (a21, a22, det) "
-            "is the whole affine 3-space.",
-            run_image_closure,
-        ),
-        Check(
-            "stratum-constraints-punctured-line",
-            KIND_VERIFIED,
-            "Over the stratum b1 = b2 = 0, image points satisfy exactly one "
-            "new constraint: d = 0.",
-            run_stratum_constraints,
-        ),
-        Check(
-            "punctured-line-excluded",
-            KIND_VERIFIED,
-            "Points (0, 0, d) with d != 0 are not attained: a matrix with "
-            "zero bottom row has zero determinant; the origin is attained.",
-            run_punctured_line,
-        ),
-        Check(
-            "image-matches-constructible-description",
-            KIND_VERIFIED,
-            "The image equals the whole target minus the punctured line "
-            "{b1 = b2 = 0, d != 0}: explicit sections cover every predicted "
-            "point.",
-            run_image_description,
-        ),
-        Check(
-            "image-not-closed",
-            KIND_VERIFIED,
-            "The image is not closed: its Zariski closure adds the "
-            "punctured line back.",
-            run_not_closed,
-        ),
-        Check(
-            "image-not-open",
-            KIND_VERIFIED,
-            "The image is not open in the target space.",
-            run_not_open,
-        ),
-        Check(
-            "fixed-stratum-collapse",
-            KIND_VERIFIED,
-            "Matrices with zero bottom row are fixed points and are all "
-            "mapped to the origin of the invariant space.",
-            run_fixed_stratum,
-        ),
-        Check(
-            "separation-trichotomy",
-            KIND_VERIFIED,
-            "Invariant values separate generic orbits but collapse the "
-            "fixed stratum: distinct fixed points share the value (0,0,0).",
-            run_separation,
-        ),
-        Check(
-            "constructible-quotient-conclusion",
-            KIND_BY_CRITERION,
-            "The orbit-space candidate is constructible but neither open "
-            "nor closed, so it is not realized by any subvariety of the "
-            "invariant space; the quotient exists only constructibly.",
-            detail=(
-                "criterion: a candidate orbit space realizable as a variety must "
-                "be open or closed in the target; the image is neither (see "
-                "image-not-open, image-not-closed) but is a finite union of "
-                "locally closed pieces"
-            ),
-        ),
-    ]
-
-
-def _shear_census_shadow(core) -> CensusShadow:
-    M = core["M"]
-    a21 = M.gen("a21")
-    a22 = M.gen("a22")
+    checks.declared(
+        KIND_BY_CRITERION,
+        "constructible-quotient-conclusion",
+        "The orbit-space candidate is constructible but neither open "
+        "nor closed, so it is not realized by any subvariety of the "
+        "invariant space; the quotient exists only constructibly.",
+        "criterion: a candidate orbit space realizable as a variety must "
+        "be open or closed in the target; the image is neither (see "
+        "image-not-open, image-not-closed) but is a finite union of "
+        "locally closed pieces",
+    )
 
     def expected(p: int):
         fixed = p * p
         moving = (p**4 - p * p) // p
         return (p**4, fixed + moving, {1: fixed, p: moving})
 
-    return CensusShadow(
+    census = CensusShadow(
         id="orbit-census",
         claim="Orbits of the row-shear action over a finite field partition "
         "the matrix space into fixed points (zero bottom row) and free "
         "orbits of size p; the partition is field-independent in shape.",
-        action=core["shear"],
+        action=shear,
         domain=None,
         fixed_stratum=vanishing(Ideal(M, [a21, a22])),
         expected=expected,
     )
+    return shear, inv_map, predicted, census
 
 
 def build_background(mutated: bool = False) -> ScenarioSpec:
-    core = _shear_core()
+    checks = _Checks()
+    census = _row_shear_checks(checks, mutated)[-1]
     return ScenarioSpec(
         name="background",
         summary="Row-shear action on 2x2 matrices: invariants, orbit "
         "structure, and the constructible non-open non-closed image of the "
         "invariant map.",
-        checks=tuple(_quotient_core_checks(core, mutated)),
-        shadows=(_shear_census_shadow(core),),
+        checks=tuple(checks),
+        shadows=(census,),
     )
 
 
@@ -496,7 +470,10 @@ def _matmul(rows_a, rows_b):
     return out
 
 
-def _example1_extra_checks(core):
+def build_example1(mutated: bool = False) -> ScenarioSpec:
+    checks = _Checks()
+    shear, inv_map, predicted, census = _row_shear_checks(checks, mutated)
+
     # 5-parameter unitriangular 4x4 group (the (3,4) slot is absent) acting
     # on 4x2 matrices by left multiplication; distinguished matrix has zero
     # top block and identity bottom block
@@ -516,7 +493,13 @@ def _example1_extra_checks(core):
         [zero, one],
     ]
 
-    def run_stabilizer():
+    @checks.verified(
+        "stabilizer-is-shear-group",
+        "Inside the 5-parameter unitriangular group, the stabilizer of "
+        "the distinguished 4x2 matrix is cut out by g13 = g14 = g23 = "
+        "g24 = 0, leaving exactly the one-parameter shear subgroup.",
+    )
+    def _():
         gm = _matmul(g_mat, m_mat)
         diff_entries = [
             gm[i][j] - m_mat[i][j] for i in range(4) for j in range(2)
@@ -531,7 +514,13 @@ def _example1_extra_checks(core):
             f"g12 remains free: {free}",
         )
 
-    def run_transport():
+    @checks.verified(
+        "coset-transport-matches-shear",
+        "Left multiplication by the one-parameter subgroup preserves "
+        "the identity-bottom chart and acts on top rows exactly as the "
+        "row-shear action.",
+    )
+    def _():
         T = RingCtx(("lam", "r11", "r12", "r21", "r22"))
         lam, r11, r12, r21, r22 = T.gens()
         tone, tzero = T.one(), T.zero()
@@ -555,9 +544,7 @@ def _example1_extra_checks(core):
             and prod[3][1] == 1
         )
         rename = {"a11": r11, "a12": r12, "a21": r21, "a22": r22, "lam": lam}
-        shear_polys = [
-            substitute(a, rename, into=T) for a in core["shear"].action
-        ]
+        shear_polys = [substitute(a, rename, into=T) for a in shear.action]
         top_ok = (
             prod[0][0] == shear_polys[0]
             and prod[0][1] == shear_polys[1]
@@ -570,54 +557,28 @@ def _example1_extra_checks(core):
             f"({format_poly(prod[0][0])}, {format_poly(prod[0][1])})",
         )
 
-    return [
-        Check(
-            "stabilizer-is-shear-group",
-            KIND_VERIFIED,
-            "Inside the 5-parameter unitriangular group, the stabilizer of "
-            "the distinguished 4x2 matrix is cut out by g13 = g14 = g23 = "
-            "g24 = 0, leaving exactly the one-parameter shear subgroup.",
-            run_stabilizer,
-        ),
-        Check(
-            "coset-transport-matches-shear",
-            KIND_VERIFIED,
-            "Left multiplication by the one-parameter subgroup preserves "
-            "the identity-bottom chart and acts on top rows exactly as the "
-            "row-shear action.",
-            run_transport,
-        ),
-        Check(
-            "coset-reduction-declared",
-            KIND_BY_REPRESENTATION,
-            "The chart of identity-bottom representatives identifies the "
-            "coset space with the space of 2x2 top blocks; the quotient "
-            "question reduces to the row-shear analysis.",
-            detail=(
-                "declared chart: representatives with identity bottom block are "
-                "parametrized by their 2x2 top block; the residual action is "
-                "the row-shear action checked above"
-            ),
-        ),
-    ]
+    checks.declared(
+        KIND_BY_REPRESENTATION,
+        "coset-reduction-declared",
+        "The chart of identity-bottom representatives identifies the "
+        "coset space with the space of 2x2 top blocks; the quotient "
+        "question reduces to the row-shear analysis.",
+        "declared chart: representatives with identity bottom block are "
+        "parametrized by their 2x2 top block; the residual action is "
+        "the row-shear action checked above",
+    )
 
-
-def build_example1(mutated: bool = False) -> ScenarioSpec:
-    core = _shear_core()
-    checks = _quotient_core_checks(core, mutated) + _example1_extra_checks(core)
-
-    predicted = core["predicted"]
     if mutated:
         # oracle negative control: pretend the image is everything
-        predicted = whole_space(core["T"])
+        predicted = whole_space(inv_map.target)
     image_shadow = ImageShadow(
         id="image-agreement",
         claim="Membership in the image of the invariant map is "
         "field-independent: the fiber system (bottom row fixed, determinant "
         "fixed) is linear in the top row, solvable over any field exactly "
         "off the punctured line.",
-        map=core["inv_map"],
-        domain=whole_space(core["M"]),
+        map=inv_map,
+        domain=whole_space(inv_map.source),
         predicted=predicted,
     )
     return ScenarioSpec(
@@ -626,7 +587,7 @@ def build_example1(mutated: bool = False) -> ScenarioSpec:
         "computation, chart transport, and the constructible quotient of "
         "the top-block space.",
         checks=tuple(checks),
-        shadows=(image_shadow, _shear_census_shadow(core)),
+        shadows=(image_shadow, census),
     )
 
 
@@ -635,6 +596,7 @@ def build_example1(mutated: bool = False) -> ScenarioSpec:
 
 
 def build_example2(mutated: bool = False) -> ScenarioSpec:
+    checks = _Checks()
     # space of 4x2 matrices; rows 1,2 are the top block, rows 3,4 the bottom
     W8 = RingCtx(("w11", "w12", "w21", "w22", "w31", "w32", "w41", "w42"))
     w11, w12, w21, w22, w31, w32, w41, w42 = W8.gens()
@@ -658,14 +620,11 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
     # combined group: shear of row 1 by row 2, torus scaling rows 3 and 4
     WC = extend_ring(W8, ("a", "s", "u"))
     cw = {v: WC.gen(v) for v in WC.vars}
-    group_params = ("a", "s", "u")
-    constraint = Ideal(
-        RingCtx(group_params), [RingCtx(group_params).gen("s") * RingCtx(group_params).gen("u") - 1]
-    )
+    P = RingCtx(("a", "s", "u"))
     full_action = GroupActionSpec(
         space=W8,
-        params=group_params,
-        constraint=constraint,
+        params=P.vars,
+        constraint=Ideal(P, [P.gen("s") * P.gen("u") - 1]),
         action=(
             cw["w11"] + cw["a"] * cw["w21"],
             cw["w12"] + cw["a"] * cw["w22"],
@@ -681,11 +640,16 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
 
     # abstract scaling action on a 4-dim bottom-block space
     scaling = scaling_action()
-    B4 = scaling.space
 
     base_point = (1, 0, 0, 0) if mutated else (0, 0, 0, 0)
 
-    def run_limit_point():
+    @checks.verified(
+        "scaling-limit-point",
+        "The zero matrix lies in the closure of every orbit of the "
+        "bottom-block scaling action, verified with a fully symbolic "
+        "start point.",
+    )
+    def _():
         ok = base_in_all_orbit_closures(scaling, base_point)
         return (
             ok,
@@ -693,42 +657,72 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
             f"the scaling action = {ok}",
         )
 
-    def run_minors():
-        R10 = RingCtx(B4.vars + ("s", "u") + ("y11", "y12", "y21", "y22"))
-        sv, uv = R10.gen("s"), R10.gen("u")
-        ms = [R10.gen(v) for v in ("m11", "m12", "m21", "m22")]
-        ys = [R10.gen(v) for v in ("y11", "y12", "y21", "y22")]
-        gens = [m - sv * y for m, y in zip(ms, ys)]
-        gens.append(sv * uv - 1)
-        E = eliminate(Ideal(R10, gens), {"s", "u"})
-        small = E.ring
-        msmall = [small.gen(v) for v in ("m11", "m12", "m21", "m22")]
-        ysmall = [small.gen(v) for v in ("y11", "y12", "y21", "y22")]
+    @checks.verified(
+        "scaling-orbit-closure-line",
+        "Eliminating the scale from the graph of the scaling action "
+        "yields exactly the 2x2 minors tying a point to its image: "
+        "orbit closures are lines through the origin.",
+    )
+    def _():
+        E = generic_orbit_closure(scaling)
+        ms = [E.ring.gen(v) for v in scaling.space.vars]
+        starts = [E.ring.gen(f"{v}_0") for v in scaling.space.vars]
         minors = [
-            msmall[i] * ysmall[j] - msmall[j] * ysmall[i]
+            ms[i] * starts[j] - ms[j] * starts[i]
             for i in range(4)
             for j in range(i + 1, 4)
         ]
-        ok = equal_ideals(E, Ideal(small, minors))
+        ok = equal_ideals(E, Ideal(E.ring, minors))
         return (
             ok,
             f"eliminated ideal has {len(E.generators)} generators and "
             f"equals the ideal of 2x2 minors pairing a point with its image",
         )
 
-    def run_contains():
+    checks.declared(
+        KIND_BY_REPRESENTATION,
+        "column-condition-encoded",
+        "The admissible 4x2 matrices are those with both columns "
+        "nonzero, encoded as the complement of two closed column loci; "
+        "in particular the set is open by construction.",
+        "admissible matrices are encoded as the complement of the union "
+        "of V(column 1) and V(column 2): one locally closed piece whose "
+        "excluded ideal is the product of the two column ideals",
+    )
+
+    @checks.verified(
+        "good-tops-times-bottoms-inside",
+        "Every matrix whose top block has two nonzero columns is "
+        "admissible, whatever its bottom block.",
+    )
+    def _():
         ok = contains(admissible, good_pairs)
         return ok, f"contains(admissible, good-tops x bottoms) = {ok}"
 
-    def run_dense():
+    @checks.verified(
+        "good-top-locus-dense",
+        "Top blocks with two nonzero columns are dense in the top-block "
+        "space.",
+    )
+    def _():
         ok = closure(good_tops).is_zero_ideal()
         return ok, "closure of the good top-block locus is the whole space"
 
-    def run_open():
+    @checks.verified(
+        "good-top-locus-open",
+        "Top blocks with two nonzero columns form an open subset of the "
+        "top-block space.",
+    )
+    def _():
         ok = is_open_in(good_tops, whole_space(top_ring))
         return ok, f"is_open_in(good tops, top space) = {ok}"
 
-    def run_stable():
+    @checks.verified(
+        "admissible-set-stable",
+        "The admissible set is preserved by the combined shear and "
+        "scaling action.",
+    )
+    def _():
         assignment = dict(zip(W8.vars, full_action.action))
         cons = full_action.constraint_in_combined()
         big = full_action.combined
@@ -745,7 +739,13 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
             "group, so the admissible complement is preserved",
         )
 
-    def run_projection():
+    @checks.verified(
+        "projection-onto-top-block",
+        "Projection of the admissible set onto the top block is onto: "
+        "the parametric constraint ideal is zero and the zero top block "
+        "is attained.",
+    )
+    def _():
         constraints = parametric_image_constraints(
             pr, admissible, Ideal(top_ring, [])
         )
@@ -758,84 +758,16 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
             f"zero top block attained: {worst}",
         )
 
-    checks = (
-        Check(
-            "scaling-limit-point",
-            KIND_VERIFIED,
-            "The zero matrix lies in the closure of every orbit of the "
-            "bottom-block scaling action, verified with a fully symbolic "
-            "start point.",
-            run_limit_point,
-        ),
-        Check(
-            "scaling-orbit-closure-line",
-            KIND_VERIFIED,
-            "Eliminating the scale from the graph of the scaling action "
-            "yields exactly the 2x2 minors tying a point to its image: "
-            "orbit closures are lines through the origin.",
-            run_minors,
-        ),
-        Check(
-            "column-condition-encoded",
-            KIND_BY_REPRESENTATION,
-            "The admissible 4x2 matrices are those with both columns "
-            "nonzero, encoded as the complement of two closed column loci; "
-            "in particular the set is open by construction.",
-            detail=(
-                "admissible matrices are encoded as the complement of the union "
-                "of V(column 1) and V(column 2): one locally closed piece whose "
-                "excluded ideal is the product of the two column ideals"
-            ),
-        ),
-        Check(
-            "good-tops-times-bottoms-inside",
-            KIND_VERIFIED,
-            "Every matrix whose top block has two nonzero columns is "
-            "admissible, whatever its bottom block.",
-            run_contains,
-        ),
-        Check(
-            "good-top-locus-dense",
-            KIND_VERIFIED,
-            "Top blocks with two nonzero columns are dense in the top-block "
-            "space.",
-            run_dense,
-        ),
-        Check(
-            "good-top-locus-open",
-            KIND_VERIFIED,
-            "Top blocks with two nonzero columns form an open subset of the "
-            "top-block space.",
-            run_open,
-        ),
-        Check(
-            "admissible-set-stable",
-            KIND_VERIFIED,
-            "The admissible set is preserved by the combined shear and "
-            "scaling action.",
-            run_stable,
-        ),
-        Check(
-            "projection-onto-top-block",
-            KIND_VERIFIED,
-            "Projection of the admissible set onto the top block is onto: "
-            "the parametric constraint ideal is zero and the zero top block "
-            "is attained.",
-            run_projection,
-        ),
-        Check(
-            "scaling-reduction-chain",
-            KIND_BY_CRITERION,
-            "With the verified premises, the quotient computation reduces "
-            "first along the scaling factor and then to the row-shear "
-            "analysis of top blocks.",
-            detail=(
-                "criterion: with the limit point in every scaling-orbit closure, "
-                "a stable admissible set, and the projection onto the top block "
-                "surjective, the quotient analysis reduces along the scaling "
-                "factor to the row-shear engine on top blocks"
-            ),
-        ),
+    checks.declared(
+        KIND_BY_CRITERION,
+        "scaling-reduction-chain",
+        "With the verified premises, the quotient computation reduces "
+        "first along the scaling factor and then to the row-shear "
+        "analysis of top blocks.",
+        "criterion: with the limit point in every scaling-orbit closure, "
+        "a stable admissible set, and the projection onto the top block "
+        "surjective, the quotient analysis reduces along the scaling "
+        "factor to the row-shear engine on top blocks",
     )
 
     image_shadow = ImageShadow(
@@ -853,7 +785,7 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
         summary="Scaling reduction: 4x2 matrices with nonzero columns, "
         "their projection onto top blocks, and the limit point premise for "
         "the scaling factor.",
-        checks=checks,
+        checks=tuple(checks),
         shadows=(image_shadow,),
     )
 
@@ -863,6 +795,7 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
 
 
 def build_example3(mutated: bool = False) -> ScenarioSpec:
+    checks = _Checks()
     act = isotropic_shear_action()
     X4 = act.space
     x1, x2, x3, x4 = X4.gens()
@@ -878,17 +811,31 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
 
     pred = ProjectivePairPredicate(X4, (x1, -x3), (x2, x4))
 
-    def run_nonempty():
+    @checks.verified(
+        "base-space-nonempty",
+        "The cone x1*x4 + x2*x3 = 0 minus the origin is nonempty.",
+    )
+    def _():
         ok = not is_empty(punctured_cone)
         witness = contains_point(punctured_cone, (0, 1, 0, 0))
         return ok and witness, "witness point (0, 1, 0, 0) lies on the punctured cone"
 
-    def run_invariants():
+    @checks.verified(
+        "base-invariants",
+        "The coordinates x2 and x4 are constant on orbits of the "
+        "isotropic shear.",
+    )
+    def _():
         ok2 = check_invariant(act, x2)
         ok4 = check_invariant(act, x4)
         return ok2 and ok4, f"x2 invariant: {ok2}; x4 invariant: {ok4}"
 
-    def run_preserved():
+    @checks.verified(
+        "cone-preserved",
+        "The cone equation is invariant and the origin is fixed, so "
+        "the punctured cone is preserved by the action.",
+    )
+    def _():
         inv = check_invariant(act, cone_poly)
         fixes_origin = act.act_on_point((5,), (0, 0, 0, 0)) == (0, 0, 0, 0)
         return (
@@ -897,7 +844,12 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
             "punctured cone is preserved",
         )
 
-    def run_normal_form():
+    @checks.verified(
+        "orbit-normal-form",
+        "On each chart x2 != 0, x4 != 0 an explicit group element moves "
+        "any cone point to the slice (0, x2, 0, x4).",
+    )
+    def _():
         # on the chart x2 != 0 the element a = -x1/x2, on x4 != 0 the element
         # a = x3/x4, sends the point to (0, x2, 0, x4); w inverts the chart
         R5 = extend_ring(X4, ("w",))
@@ -913,11 +865,20 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
             "simultaneously, reaching the normal form (0, x2, 0, x4)",
         )
 
-    def run_fixed_plane():
+    @checks.verified(
+        "fixed-plane-pointwise",
+        "Every point with x2 = x4 = 0 is fixed by the whole group.",
+    )
+    def _():
         ok = fixed_stratum_check(act, vanishing(Ideal(X4, [x2, x4])))
         return ok, "action polynomials reduce to the coordinates on x2 = x4 = 0"
 
-    def run_projection():
+    @checks.verified(
+        "projection-onto-base",
+        "The projection to (x2, x4) maps the punctured cone onto the "
+        "whole plane.",
+    )
+    def _():
         full = image_closure(proj, punctured_cone).is_zero_ideal()
         over_origin = point_in_image(proj, punctured_cone, (0, 0))
         return (
@@ -928,7 +889,12 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
 
     third_slot = B2.one() if mutated else B2.zero()
 
-    def run_section_zero_slice():
+    @checks.verified(
+        "section-zero-slice",
+        "The slice (0, b2, 0, b4) is a polynomial section of the "
+        "projection over the entire plane, landing inside the cone.",
+    )
+    def _():
         sec = SectionSpec(
             stratum=whole_space(B2),
             section=PolyMap(B2, X4, (B2.zero(), b2, third_slot, b4)),
@@ -936,7 +902,12 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         ok = verify_section(proj, cone, sec)
         return ok, f"section (0, b2, {format_poly(third_slot)}, b4) into the cone: {ok}"
 
-    def run_section_punctured():
+    @checks.verified(
+        "section-punctured-chart",
+        "Restricted to the punctured plane, the same slice lands in "
+        "the punctured cone.",
+    )
+    def _():
         sec = SectionSpec(
             stratum=locally_closed(Ideal(B2, []), Ideal(B2, [b2, b4])),
             section=PolyMap(B2, X4, (B2.zero(), b2, B2.zero(), b4)),
@@ -944,7 +915,12 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         ok = verify_section(proj, punctured_cone, sec)
         return ok, f"section over the punctured plane lands in the punctured cone: {ok}"
 
-    def run_consistent():
+    @checks.verified(
+        "pair-consistent-on-cone",
+        "The pairs (x1 : -x3) and (x2 : x4) agree as projective values "
+        "on the cone: their cross product is the cone equation.",
+    )
+    def _():
         ok = check_consistent_on_overlap(pred, cone)
         swapped = ProjectivePairPredicate(X4, (x2, x4), (x1, -x3))
         ok2 = check_consistent_on_overlap(swapped, cone)
@@ -954,7 +930,12 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
             "of the cone ideal (checked with either pair preferred)",
         )
 
-    def run_orbit_constant():
+    @checks.verified(
+        "pair-orbit-constant",
+        "Both coordinate pairs are constant along orbits up to scale, "
+        "so the projective value descends to orbits.",
+    )
+    def _():
         big = act.combined
         assignment = dict(zip(X4.vars, act.action))
         p1 = substitute(x1, assignment, into=big)
@@ -971,7 +952,12 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
             "multiple of the cone equation; the fallback pair is unchanged",
         )
 
-    def run_incidence_symbolic():
+    @checks.verified(
+        "blowup-incidence-symbolic",
+        "Base point and projective value of any cone point satisfy the "
+        "incidence equation of the blown-up plane.",
+    )
+    def _():
         lhs = x2 * (-x3) - x4 * x1
         ok = ideal_member(lhs, cone_ideal)
         return (
@@ -980,7 +966,12 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
             f"{format_poly(lhs)}, a member of the cone ideal",
         )
 
-    def run_incidence_sampled():
+    @checks.verified(
+        "blowup-incidence-sampled",
+        "Fifty pseudorandom cone points all satisfy the incidence "
+        "equation numerically.",
+    )
+    def _():
         rng = random.Random(20260822)
         pts = []
         while len(pts) < 35:
@@ -1002,7 +993,12 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
                 good += 1
         return good == 50, f"{good}/50 sampled cone points satisfy the incidence equation"
 
-    def run_separation():
+    @checks.verified(
+        "separation-trichotomy",
+        "The candidate value separates generic orbits, but the distinct "
+        "fixed points (1,0,2,0) and (3,0,6,0) receive the same value.",
+    )
+    def _():
         pairs = [
             ((1, 0, 2, 0), (3, 0, 6, 0)),
             ((1, 0, 2, 0), (2, 0, 1, 0)),
@@ -1017,7 +1013,13 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         detail = "; ".join(v.describe() for v in verdicts)
         return [v.verdict for v in verdicts] == want, detail
 
-    def run_exceptional():
+    @checks.verified(
+        "exceptional-fiber-hit",
+        "Over the origin the fiber consists of fixed points "
+        "(u, 0, -v, 0) realizing every projective value of the "
+        "exceptional line.",
+    )
+    def _():
         params = [(1, 0), (0, 1), (1, 1), (2, 3), (-1, 2)]
         pts = [(u, 0, -v, 0) for u, v in params]
         on_fiber = all(
@@ -1038,128 +1040,25 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
             "5 pairwise distinct projective values",
         )
 
-    checks = (
-        Check(
-            "base-space-nonempty",
-            KIND_VERIFIED,
-            "The cone x1*x4 + x2*x3 = 0 minus the origin is nonempty.",
-            run_nonempty,
-        ),
-        Check(
-            "base-invariants",
-            KIND_VERIFIED,
-            "The coordinates x2 and x4 are constant on orbits of the "
-            "isotropic shear.",
-            run_invariants,
-        ),
-        Check(
-            "cone-preserved",
-            KIND_VERIFIED,
-            "The cone equation is invariant and the origin is fixed, so "
-            "the punctured cone is preserved by the action.",
-            run_preserved,
-        ),
-        Check(
-            "orbit-normal-form",
-            KIND_VERIFIED,
-            "On each chart x2 != 0, x4 != 0 an explicit group element moves "
-            "any cone point to the slice (0, x2, 0, x4).",
-            run_normal_form,
-        ),
-        Check(
-            "fixed-plane-pointwise",
-            KIND_VERIFIED,
-            "Every point with x2 = x4 = 0 is fixed by the whole group.",
-            run_fixed_plane,
-        ),
-        Check(
-            "projection-onto-base",
-            KIND_VERIFIED,
-            "The projection to (x2, x4) maps the punctured cone onto the "
-            "whole plane.",
-            run_projection,
-        ),
-        Check(
-            "section-zero-slice",
-            KIND_VERIFIED,
-            "The slice (0, b2, 0, b4) is a polynomial section of the "
-            "projection over the entire plane, landing inside the cone.",
-            run_section_zero_slice,
-        ),
-        Check(
-            "section-punctured-chart",
-            KIND_VERIFIED,
-            "Restricted to the punctured plane, the same slice lands in "
-            "the punctured cone.",
-            run_section_punctured,
-        ),
-        Check(
-            "pair-consistent-on-cone",
-            KIND_VERIFIED,
-            "The pairs (x1 : -x3) and (x2 : x4) agree as projective values "
-            "on the cone: their cross product is the cone equation.",
-            run_consistent,
-        ),
-        Check(
-            "pair-orbit-constant",
-            KIND_VERIFIED,
-            "Both coordinate pairs are constant along orbits up to scale, "
-            "so the projective value descends to orbits.",
-            run_orbit_constant,
-        ),
-        Check(
-            "blowup-incidence-symbolic",
-            KIND_VERIFIED,
-            "Base point and projective value of any cone point satisfy the "
-            "incidence equation of the blown-up plane.",
-            run_incidence_symbolic,
-        ),
-        Check(
-            "blowup-incidence-sampled",
-            KIND_VERIFIED,
-            "Fifty pseudorandom cone points all satisfy the incidence "
-            "equation numerically.",
-            run_incidence_sampled,
-        ),
-        Check(
-            "separation-trichotomy",
-            KIND_VERIFIED,
-            "The candidate value separates generic orbits, but the distinct "
-            "fixed points (1,0,2,0) and (3,0,6,0) receive the same value.",
-            run_separation,
-        ),
-        Check(
-            "exceptional-fiber-hit",
-            KIND_VERIFIED,
-            "Over the origin the fiber consists of fixed points "
-            "(u, 0, -v, 0) realizing every projective value of the "
-            "exceptional line.",
-            run_exceptional,
-        ),
-        Check(
-            "quotient-target-described",
-            KIND_BY_REPRESENTATION,
-            "The comparison target is the incidence surface of the plane "
-            "blown up at the origin.",
-            detail=(
-                "comparison target: the incidence surface {((b2, b4), (u : v)) "
-                ": b2*v = b4*u}, the plane blown up at the origin, with values "
-                "assembled from the two charts"
-            ),
-        ),
-        Check(
-            "blowup-collapse-conclusion",
-            KIND_BY_CRITERION,
-            "A map constant on orbits that identifies two distinct closed "
-            "orbits admits no geometric quotient structure; the blow-up "
-            "candidate works only constructibly.",
-            detail=(
-                "criterion: a quotient map must separate closed orbits; the "
-                "separation check shows two distinct fixed orbits share one "
-                "value, so the blow-up candidate is only a constructible "
-                "quotient"
-            ),
-        ),
+    checks.declared(
+        KIND_BY_REPRESENTATION,
+        "quotient-target-described",
+        "The comparison target is the incidence surface of the plane "
+        "blown up at the origin.",
+        "comparison target: the incidence surface {((b2, b4), (u : v)) "
+        ": b2*v = b4*u}, the plane blown up at the origin, with values "
+        "assembled from the two charts",
+    )
+    checks.declared(
+        KIND_BY_CRITERION,
+        "blowup-collapse-conclusion",
+        "A map constant on orbits that identifies two distinct closed "
+        "orbits admits no geometric quotient structure; the blow-up "
+        "candidate works only constructibly.",
+        "criterion: a quotient map must separate closed orbits; the "
+        "separation check shows two distinct fixed orbits share one "
+        "value, so the blow-up candidate is only a constructible "
+        "quotient",
     )
 
     def census_expected(p: int):
@@ -1190,9 +1089,10 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
         summary="Isotropic shear on a quadric cone: projection onto two "
         "invariant coordinates, projective charts gluing to the blown-up "
         "plane, and the collapse of distinct fixed orbits.",
-        checks=checks,
+        checks=tuple(checks),
         shadows=(image_shadow, census),
     )
+
 
 
 # ---------------------------------------------------------------------------

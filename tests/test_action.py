@@ -13,6 +13,7 @@ from dcoset.action import (
     base_in_all_orbit_closures,
     check_invariant,
     fixed_stratum_check,
+    generic_orbit_closure,
     orbit_closure,
     same_orbit,
     separation_report,
@@ -122,6 +123,23 @@ def test_fixed_stratum(shear):
     a21, a22 = M.gen("a21"), M.gen("a22")
     assert fixed_stratum_check(shear, vanishing(Ideal(M, [a21, a22])))
     assert not fixed_stratum_check(shear, whole_space(M))
+
+
+def test_generic_orbit_closure_of_the_row_shear(shear):
+    closed = generic_orbit_closure(shear)
+    R = closed.ring
+    assert R.vars == shear.space.vars + ("a11_0", "a12_0", "a21_0", "a22_0")
+    a11, a12, a21, a22, b11, b12, b21, b22 = R.gens()
+    want = [a21 - b21, a22 - b22, (a11 * a22 - a12 * a21) - (b11 * b22 - b12 * b21)]
+    assert equal_ideals(closed, Ideal(R, want))
+
+
+def test_generic_orbit_closure_of_scaling_is_the_minors_ideal(scaling):
+    closed = generic_orbit_closure(scaling)
+    R = closed.ring
+    m1, m2, m1_0, m2_0 = R.gens()
+    assert R.vars == ("m1", "m2", "m1_0", "m2_0")
+    assert equal_ideals(closed, Ideal(R, [m1 * m2_0 - m2 * m1_0]))
 
 
 def test_base_in_all_orbit_closures(scaling):

@@ -21,7 +21,7 @@ from dcoset.geometry import (
     whole_space,
 )
 from dcoset.fforacle import _points, _set_source
-from dcoset.scenarios import _shear_core
+from dcoset.scenarios import get_scenario
 
 
 @pytest.fixture
@@ -117,7 +117,7 @@ def test_is_open_in_matches_the_containment_formula(xy):
     x, y = xy.gens()
     plane = whole_space(xy)
     off_y_axis = locally_closed(Ideal(xy, []), Ideal(xy, [x]))
-    core = _shear_core()
+    shear_image = get_scenario("example1").shadows[0]
     top = RingCtx(("x11", "x12", "x21", "x22"))
     x11, x12, x21, x22 = top.gens()
     good_tops = locally_closed(
@@ -132,7 +132,7 @@ def test_is_open_in_matches_the_containment_formula(xy):
         (union(off_y_axis, vanishing(Ideal(xy, [x, y]))), plane, False),
         # inside the two axes, one axis is not open: they meet at the origin
         (vanishing(Ideal(xy, [x])), vanishing(Ideal(xy, [x * y])), False),
-        (core["predicted"], whole_space(core["T"]), False),
+        (shear_image.predicted, whole_space(shear_image.map.target), False),
         (good_tops, whole_space(top), True),
     ]
     for subset, ambient, expected in cases:
