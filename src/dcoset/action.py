@@ -11,6 +11,7 @@ are normal-form computations modulo the constraint ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .polyring import (
@@ -133,6 +134,17 @@ class GroupActionSpec:
         """Built once, so its Groebner basis is computed once."""
         return self._constraint_big
 
+    @cached_property
+    def _generic_closure(self) -> Ideal:
+        """generic_orbit_closure's ideal, cached: it is eliminated once per action."""
+        sym_names = tuple(f"{v}_0" for v in self.space.vars)
+        clash = set(sym_names) & (set(self.space.vars) | set(self.params))
+        if clash:
+            raise ValueError(f"cannot build symbolic start point, names clash: {sorted(clash)}")
+        big = RingCtx(self.space.vars + self.params + sym_names)
+        start = [big.gen(s) for s in sym_names]
+        return eliminate(_orbit_graph(self, start, big), set(self.params))
+
 
 def check_invariant(spec: GroupActionSpec, f: Polynomial) -> bool:
     """Is f constant on orbits?  Checks f∘action - f ≡ 0 modulo the group
@@ -206,13 +218,7 @@ def generic_orbit_closure(spec: GroupActionSpec) -> Ideal:
     eliminated from the graph of the action at a fully symbolic start
     point.  The ideal lives over the space variables followed by one fresh
     copy ``<v>_0`` per space variable, which stands for the start point."""
-    sym_names = tuple(f"{v}_0" for v in spec.space.vars)
-    clash = set(sym_names) & (set(spec.space.vars) | set(spec.params))
-    if clash:
-        raise ValueError(f"cannot build symbolic start point, names clash: {sorted(clash)}")
-    big = RingCtx(spec.space.vars + spec.params + sym_names)
-    start = [big.gen(s) for s in sym_names]
-    return eliminate(_orbit_graph(spec, start, big), set(spec.params))
+    return spec._generic_closure
 
 
 def base_in_all_orbit_closures(spec: GroupActionSpec, base_point) -> bool:

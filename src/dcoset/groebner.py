@@ -18,7 +18,9 @@ polynomial the engine keeps is primitive, and division is fraction-free
 pseudo-division (as in Gebauer and Möller, and Traverso): it scales the
 remainder by a leading coefficient's cofactor instead of dividing by it,
 taking the largest remaining term from a heap of negated int order keys
-(after Monagan and Pearce).  Inputs are made primitive on entry; a basis
+(after Monagan and Pearce).  `_reduce` is the engine's only reducer: the
+S-polynomial of f and g is its first step on f's lcm-multiple, reducing
+the leading term by g.  Inputs are made primitive on entry; a basis
 leaves monic over Q at the exit of `groebner_basis`, and `normal_form`
 divides out the scale it applied, both keeping integral values as ints.
 An exponent reaching `EXPONENT_LIMIT` raises `ValueError`.
@@ -125,40 +127,29 @@ def _overflow():
     )
 
 
-def _spoly(fd: tuple, gd: tuple, top: int, top_key: int, over: int) -> list:
-    """lcm(a, b) times the S-polynomial of two divisor records with leading
-    coefficients a and b and leading monomials of lcm top, as an int list."""
-    a, b = fd[2], gd[2]
-    g = gcd(a, b)
-    out = {}
-    for (lm, key, _, tail), factor in ((fd, b // g), (gd, -(a // g))):
-        shift = top - lm
-        dk = top_key - key
-        for k, e, c in tail:
-            c *= factor
-            k += dk
-            old = out.get(k)
-            if old is None:
-                e += shift
-                if e & over:
-                    raise _overflow()
-                out[k] = (e, c)
-            else:
-                v = old[1] + c
-                if v:
-                    out[k] = (old[0], v)
-                else:
-                    del out[k]
-    return sorted(((k, e, c) for k, (e, c) in out.items()), reverse=True)
+def _multiple(record: tuple, top: int, top_key: int, over: int) -> list:
+    """A divisor record's full list times top/lm, leading term first."""
+    lm, key, lc, tail = record
+    shift = top - lm
+    dk = top_key - key
+    out = [(top_key, top, lc)]
+    for k, e, c in tail:
+        e += shift
+        if e & over:
+            raise _overflow()
+        out.append((k + dk, e, c))
+    return out
 
 
-def _reduce(terms: list, divisors: Sequence[tuple], pk) -> tuple:
+def _reduce(terms: list, divisors: Sequence[tuple], pk, first: tuple | None = None) -> tuple:
     """(r, λ) with r the remainder of λ·terms modulo divisor records, by
     pseudo-division: before a divisor with leading coefficient a reduces a
     term c·m, the working terms and the remainder are scaled by a/gcd(a, c),
-    and λ is the product of those scales.  A heap of negated keys yields the
-    largest remaining term first; a term that cancels is left in the heap
-    and skipped when popped.
+    and λ is the product of those scales.  A term is reduced by the first
+    record whose leading monomial divides it, the leading term by `first`
+    if given: by g on f's lcm-multiple, that leaves their S-polynomial.  A
+    heap of negated keys yields the largest remaining term first; a term
+    that cancels is left in the heap and skipped when popped.
     """
     if not terms or not divisors:
         return terms, 1
@@ -178,38 +169,41 @@ def _reduce(terms: list, divisors: Sequence[tuple], pk) -> tuple:
         if c is None:
             continue
         m = exps[nk]
-        for i, lm in enumerate(lms):
-            shift = m - lm
-            if shift & guard:
-                continue  # lm does not divide m
-            _, lk, a, tail = divisors[i]
-            nshift = nk + lk  # the shift's negated key
-            g = gcd(a, c)
-            s = a // g
-            if s != 1:
-                lam *= s
-                work = {mk: v * s for mk, v in work.items()}
-                out = [(k, e, v * s) for k, e, v in out]
-            factor = -(c // g)
-            for bk, bm, bc in tail:
-                mk = nshift - bk
-                old = work.get(mk)
-                if old is None:
-                    e = bm + shift
-                    if e & over:
-                        raise _overflow()
-                    work[mk] = factor * bc
-                    exps[mk] = e
-                    heappush(heap, mk)
-                else:
-                    v = old + factor * bc
-                    if v:
-                        work[mk] = v
-                    else:
-                        del work[mk]
-            break
+        if first is None:
+            for i, lm in enumerate(lms):
+                if not (m - lm) & guard:
+                    break  # lm divides m
+            else:
+                out.append((-nk, m, c))
+                continue
+            lm, lk, a, tail = divisors[i]
         else:
-            out.append((-nk, m, c))
+            (lm, lk, a, tail), first = first, None
+        shift = m - lm
+        nshift = nk + lk  # the shift's negated key
+        g = gcd(a, c)
+        s = a // g
+        if s != 1:
+            lam *= s
+            work = {mk: v * s for mk, v in work.items()}
+            out = [(k, e, v * s) for k, e, v in out]
+        factor = -(c // g)
+        for bk, bm, bc in tail:
+            mk = nshift - bk
+            old = work.get(mk)
+            if old is None:
+                e = bm + shift
+                if e & over:
+                    raise _overflow()
+                work[mk] = factor * bc
+                exps[mk] = e
+                heappush(heap, mk)
+            else:
+                v = old + factor * bc
+                if v:
+                    work[mk] = v
+                else:
+                    del work[mk]
     return out, lam
 
 
@@ -281,7 +275,7 @@ def _buchberger(gens: Sequence[list], pk) -> list:
         lcm_key, i, j, lcm_ij = heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
-        h = _reduce(_spoly(divisors[i], divisors[j], lcm_ij, lcm_key, pk.over), divisors, pk)[0]
+        h = _reduce(_multiple(divisors[i], lcm_ij, lcm_key, pk.over), divisors, pk, divisors[j])[0]
         if not h:
             continue
         h = _primitive(h)
@@ -335,8 +329,7 @@ def _assert_fixed_point(basis: Sequence[Polynomial], generators: Sequence[Polyno
     for h in range(len(lms)):
         _update(pairs, live, lms, h, pk)
     for key, i, j, top in sorted(pairs.values()):
-        s = _spoly(divisors[i], divisors[j], top, key, pk.over)
-        if _reduce(s, divisors, pk)[0]:
+        if _reduce(_multiple(divisors[i], top, key, pk.over), divisors, pk, divisors[j])[0]:
             raise AssertionError(
                 f"S-polynomial of basis elements {i} and {j} does not reduce to zero"
             )

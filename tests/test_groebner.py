@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -222,8 +223,8 @@ def _cyclic(n):
     return Ideal(R, gens + [product - 1])
 
 
-def _katsura(n):
-    R = RingCtx(tuple(f"u{i}" for i in range(n + 1)))
+def _katsura(n, order=GREVLEX):
+    R = RingCtx(tuple(f"u{i}" for i in range(n + 1)), order)
     u = R.gens()
 
     def at(i):
@@ -247,9 +248,9 @@ def _katsura(n):
 def test_audit_reduces_only_the_gebauer_moeller_pairs(monkeypatch, ideal, pairs):
     # the all-pairs audit reduced 134, 41 and 137 non-coprime pairs here
     basis = groebner_basis(ideal)
-    spoly = groebner._spoly
+    multiple = groebner._multiple
     formed = []
-    monkeypatch.setattr(groebner, "_spoly", lambda *a: formed.append(a) or spoly(*a))
+    monkeypatch.setattr(groebner, "_multiple", lambda *a: formed.append(a) or multiple(*a))
     groebner._assert_fixed_point(basis, ideal.generators)
     assert len(formed) == pairs
 
@@ -345,6 +346,80 @@ def test_membership_after_scaling(seed):
     g = I.generators[0]
     c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
     assert ideal_member(c * g, I)
+
+
+# S-pair remainders against the engine's earlier S-polynomial, which was
+# built apart from `_reduce`; the engine now forms it as the first step of
+# `_reduce` on the lcm-multiple of one element, reduced by the other
+
+
+def _spoly(fd: tuple, gd: tuple, top: int, top_key: int, over: int) -> list:
+    """lcm(a, b) times the S-polynomial of two divisor records with leading
+    coefficients a and b and leading monomials of lcm top, as an int list."""
+    a, b = fd[2], gd[2]
+    g = gcd(a, b)
+    out = {}
+    for (lm, key, _, tail), factor in ((fd, b // g), (gd, -(a // g))):
+        shift = top - lm
+        dk = top_key - key
+        for k, e, c in tail:
+            c *= factor
+            k += dk
+            old = out.get(k)
+            if old is None:
+                e += shift
+                if e & over:
+                    raise ValueError("exponent overflow")
+                out[k] = (e, c)
+            else:
+                v = old[1] + c
+                if v:
+                    out[k] = (old[0], v)
+                else:
+                    del out[k]
+    return sorted(((k, e, c) for k, (e, c) in out.items()), reverse=True)
+
+
+def _nonzero_spair_remainders(ideal: Ideal) -> int:
+    """Assert that every pair (i, j), i < j, of the records of a Buchberger
+    run leaves the same remainder by either path, against the records j
+    met on arrival and against all of them; count the nonzero ones."""
+    pk = ideal.ring.packing
+    basis = groebner._buchberger([g.packed() for g in ideal.generators], pk)
+    records = [groebner._divisor(b) for b in basis]
+    nonzero = 0
+    for j, gd in enumerate(records):
+        for i, fd in enumerate(records[:j]):
+            top = pk.lcm(fd[0], gd[0])
+            key = pk.key(top)
+            for divisors in (records[: j + 1], records):
+                new = groebner._reduce(groebner._multiple(fd, top, key, pk.over), divisors, pk, gd)[0]
+                assert new == groebner._reduce(_spoly(fd, gd, top, key, pk.over), divisors, pk)[0]
+                nonzero += bool(new)
+    return nonzero
+
+
+@st.composite
+def _small_ideals(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    ideal = _random_ideal(rng)
+    ring = RingCtx(ideal.ring.vars, draw(st.sampled_from((GREVLEX, LEX))))
+    return Ideal(ring, ideal.generators)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_ideals())
+def test_spair_remainders_match_the_old_spolynomial(ideal):
+    _nonzero_spair_remainders(ideal)
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [_cyclic(5), _katsura(4), _katsura(3, LEX)],
+    ids=["cyclic-5", "katsura-4", "lex-katsura-3"],
+)
+def test_spair_remainders_match_the_old_spolynomial_on_families(ideal):
+    assert _nonzero_spair_remainders(ideal)
 
 
 def _all_pairs_audit(basis) -> bool:

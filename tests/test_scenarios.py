@@ -1,5 +1,6 @@
 import pytest
 
+from dcoset import groebner
 from dcoset.report import KIND_BY_CRITERION, KIND_BY_REPRESENTATION, KIND_VERIFIED
 from dcoset.scenarios import (
     Check,
@@ -36,6 +37,17 @@ def test_mutants_fail_exactly_their_target(name):
     report = run_scenario(f"{name}-mutated")
     assert report.verdict == "fail"
     assert [c.id for c in report.failing()] == [spec.targeted_check]
+
+
+def test_example2_eliminates_the_scaling_orbit_closure_once(monkeypatch):
+    # scaling-limit-point and scaling-orbit-closure-line share the scaling
+    # action's generic orbit closure, eliminated once: 30 Buchberger runs,
+    # one fewer than eliminating it for each check
+    buchberger = groebner._buchberger
+    runs = []
+    monkeypatch.setattr(groebner, "_buchberger", lambda *a: runs.append(a) or buchberger(*a))
+    assert run_scenario("example2").verdict == "pass"
+    assert len(runs) == 30
 
 
 def test_reports_are_deterministic():
