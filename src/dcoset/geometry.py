@@ -2,9 +2,11 @@
 
 A set is stored as a finite union of locally closed pieces V(I) \\ V(J).
 All predicates are semantic: emptiness goes through radical membership
-(a piece is empty iff every generator of J vanishes on V(I)), equality and
-containment are mutual-difference checks, and closure saturates the carrier
-ideal by each excluded generator.  Nothing ever depends on which particular
+(a piece is empty iff every generator of J vanishes on V(I)), and a
+generator that lies in I settles its test against I's one cached basis
+before any extended-ring run; equality and containment are
+mutual-difference checks, and closure saturates the carrier ideal by each
+excluded generator.  Nothing ever depends on which particular
 piece decomposition represents a set, so pieces that are empty over the
 algebraic closure are kept and every predicate skips them.
 """
@@ -62,8 +64,10 @@ class LocallyClosedPiece:
         """Empty over an algebraically closed field.
 
         V(I) \\ V(J) is empty iff every generator of J lies in the radical
-        of I, i.e. V(I) is contained in V(J).  With no excluded locus the
-        piece is empty iff I is the unit ideal.
+        of I, i.e. V(I) is contained in V(J).  A generator in I itself
+        passes by reduction against I's cached basis, computed once for
+        all of them; only the others run 1 - t*g in an extended ring.
+        With no excluded locus the piece is empty iff I is the unit ideal.
         """
         if self._empty is None:
             if self.excluded is None:

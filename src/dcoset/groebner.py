@@ -30,8 +30,10 @@ compute under another order, build the ideal over a ring carrying it.
 
 Derived operations follow the classical elimination recipes: variable
 elimination through a block order, saturation through a fresh inverse
-variable, radical membership through the extra-variable trick of adjoining
-1 - t*f and testing for the unit ideal.
+variable.  Radical membership first tests f for membership in the ideal
+itself, against its cached audited basis, and only when that fails uses
+the extra-variable trick of adjoining 1 - t*f to the raw generators and
+testing for the unit ideal.
 """
 
 from __future__ import annotations
@@ -397,12 +399,16 @@ def _inverting(ideal: Ideal, f: Polynomial) -> Ideal:
 
 
 def radical_member(f: Polynomial, ideal: Ideal) -> bool:
-    """f lies in the radical iff 1 is in ideal + (1 - t*f) for fresh t."""
+    """f lies in the radical iff 1 is in ideal + (1 - t*f) for fresh t.
+
+    f in the ideal settles it first, against the ideal's cached basis; only
+    the other answers run the extended ring, built from the raw generators.
+    """
     if f.ring.vars != ideal.ring.vars:
         raise ValueError("polynomial and ideal live in different rings")
     if f.is_zero():
         return True
-    return is_unit_ideal(_inverting(ideal, f))
+    return ideal_member(f, ideal) or is_unit_ideal(_inverting(ideal, f))
 
 
 def eliminate(ideal: Ideal, drop: Iterable[str], into: RingCtx | None = None) -> Ideal:

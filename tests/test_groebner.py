@@ -83,6 +83,72 @@ def test_radical_membership(xy):
     assert not radical_member(x, I)
 
 
+def _count_inverting(monkeypatch) -> list:
+    inverting = groebner._inverting
+    calls = []
+    monkeypatch.setattr(groebner, "_inverting", lambda *a: calls.append(a) or inverting(*a))
+    return calls
+
+
+def test_radical_member_settles_members_without_the_extended_ring(xy, monkeypatch):
+    x, y = xy.gens()
+    calls = _count_inverting(monkeypatch)
+    I = Ideal(xy, [x * y - 1, x ** 2 + y])
+    assert radical_member(x ** 3 * y - x ** 2, I)
+    assert radical_member(3 * (x ** 2 + y) * y, I)
+    assert calls == []
+
+
+def test_radical_member_falls_back_off_the_ideal(xy, monkeypatch):
+    x, y = xy.gens()
+    calls = _count_inverting(monkeypatch)
+    I = Ideal(xy, [x ** 2 * y, x * y ** 2])
+    assert not ideal_member(x * y, I)
+    assert radical_member(x * y, I)  # (xy)^2 lies in I, xy does not
+    assert not radical_member(x, I)
+    assert not radical_member(x + y, I)
+    assert len(calls) == 3
+
+
+@st.composite
+def _radical_cases(draw):
+    """A small ideal in 2 or 3 variables, in grevlex or lex, and f drawn as a
+    combination of its generators, as p with p^2 put in the ideal, or at
+    random."""
+    rng = draw(st.randoms(use_true_random=False))
+    R = RingCtx(_names[: rng.randint(2, 3)], rng.choice((GREVLEX, LEX)))
+
+    def poly(terms, degree):
+        p = R.zero()
+        for _ in range(terms):
+            exps = [0] * len(R.vars)
+            for _ in range(rng.randint(0, degree)):
+                exps[rng.randrange(len(exps))] += 1
+            p = p + R.monomial(exps, Fraction(rng.randint(-3, 3)))
+        return p
+
+    gens = [g for g in (poly(rng.randint(1, 3), 3) for _ in range(rng.randint(1, 3))) if g]
+    kind = draw(st.sampled_from(("combination", "square", "random")))
+    if kind == "combination":
+        f = R.zero()
+        for g in gens:
+            f = f + poly(rng.randint(1, 2), 1) * g
+    elif kind == "square":
+        f = poly(rng.randint(1, 3), 2)
+        gens.append(f ** 2)
+    else:
+        f = poly(rng.randint(1, 3), 2)
+    return f, Ideal(R, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_radical_cases())
+def test_radical_member_agrees_with_rabinowitsch(case):
+    # the reference is 1 in ideal + (1 - t*f), with no membership shortcut
+    f, ideal = case
+    assert radical_member(f, ideal) == is_unit_ideal(groebner._inverting(ideal, f))
+
+
 def test_eliminate_parabola():
     R = RingCtx(("x", "y"))
     x, y = R.gens()

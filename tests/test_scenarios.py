@@ -41,13 +41,25 @@ def test_mutants_fail_exactly_their_target(name):
 
 def test_example2_eliminates_the_scaling_orbit_closure_once(monkeypatch):
     # scaling-limit-point and scaling-orbit-closure-line share the scaling
-    # action's generic orbit closure, eliminated once: 30 Buchberger runs,
-    # one fewer than eliminating it for each check
+    # action's generic orbit closure, eliminated once; example2's true
+    # radical answers are settled by membership in the ideal, with no
+    # extended-ring run: 17 Buchberger runs in all
     buchberger = groebner._buchberger
     runs = []
     monkeypatch.setattr(groebner, "_buchberger", lambda *a: runs.append(a) or buchberger(*a))
     assert run_scenario("example2").verdict == "pass"
-    assert len(runs) == 30
+    assert len(runs) == 17
+
+
+def test_a_pass_runs_the_extended_ring_only_off_the_ideal(monkeypatch):
+    # radical membership runs 1 - t*f only when f is not in the ideal itself,
+    # and saturation always does: 48 extended rings over all 8 scenarios
+    inverting = groebner._inverting
+    calls = []
+    monkeypatch.setattr(groebner, "_inverting", lambda *a: calls.append(a) or inverting(*a))
+    for name in scenario_names():
+        run_scenario(name)
+    assert len(calls) == 48
 
 
 def test_reports_are_deterministic():
