@@ -3,9 +3,10 @@
 An action is given by its space, a tuple of group parameter names, an
 ideal of constraints cutting the group out of parameter space (for a torus
 factor: s*u - 1), the action polynomials in the combined space+parameter
-ring, and the parameter assignment giving the identity element.  Orbit
-computations eliminate the parameters; invariance and fixed-point checks
-are normal-form computations modulo the constraint ideal.
+ring, and the parameter assignment giving the identity element.  Two
+kernels carry the rest: `GroupActionSpec.pullback`, f -> f(g·x), for
+invariance and stability, and `_orbit_graph`, the system g·start = end plus
+the constraints, eliminated for orbit closures and solved for same_orbit.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ class GroupActionSpec:
         the combined ring (space variables first, then parameters).
     identity:
         parameter values of the identity element.
+
+    Pull-backs go through `pullback`, systems g·start = end through `_orbit_graph`.
     """
 
     space: RingCtx
@@ -86,18 +89,15 @@ class GroupActionSpec:
         clash = set(self.space.vars) & set(self.params)
         if clash:
             raise ValueError(f"parameters reuse space variable names: {sorted(clash)}")
-        combined = extend_ring(self.space, self.params)
-        object.__setattr__(self, "_combined", combined)
         if len(self.action) != self.space.arity:
             raise ValueError("need exactly one action polynomial per space variable")
         for a in self.action:
-            if a.ring.vars != combined.vars:
+            if a.ring.vars != self.combined.vars:
                 raise ValueError(
                     "action polynomials must live in the combined space+parameter ring"
                 )
         if tuple(self.constraint.ring.vars) != self.params:
             raise ValueError("constraint ideal must live in the parameter ring")
-        object.__setattr__(self, "_constraint_big", lift_ideal(self.constraint, combined))
         ident = {k: as_rational(v) for k, v in self.identity.items()}
         if set(ident) != set(self.params):
             raise ValueError("identity must assign every parameter")
@@ -113,26 +113,29 @@ class GroupActionSpec:
             if at_id != self.space.gen(name):
                 raise ValueError(f"action at the identity moves {name}: {at_id}")
 
-    @property
+    @cached_property
     def combined(self) -> RingCtx:
         """Space variables followed by group parameters."""
-        return self._combined
+        return extend_ring(self.space, self.params)
 
-    def param_ring(self) -> RingCtx:
-        return self.constraint.ring
+    @cached_property
+    def constraint_in_combined(self) -> Ideal:
+        """Built once, so its Groebner basis is computed once."""
+        return lift_ideal(self.constraint, self.combined)
+
+    def pullback(self, f: Polynomial) -> Polynomial:
+        """f(g·x) in the combined ring: each space variable of f replaced
+        by its action polynomial."""
+        return substitute(f, dict(zip(self.space.vars, self.action)), into=self.combined)
 
     def act_on_point(self, group_point, point) -> tuple:
         """Apply a specific group element (parameter tuple) to a space point."""
-        p = as_point(self.param_ring(), group_point)
+        p = as_point(self.constraint.ring, group_point)
         for g in self.constraint.generators:
             if evaluate(g, p) != 0:
                 raise ValueError(f"parameters {p!r} do not satisfy the group constraint")
         xp = as_point(self.space, point) + p
         return tuple(evaluate(a, xp) for a in self.action)
-
-    def constraint_in_combined(self) -> Ideal:
-        """Built once, so its Groebner basis is computed once."""
-        return self._constraint_big
 
     @cached_property
     def _generic_closure(self) -> Ideal:
@@ -143,7 +146,8 @@ class GroupActionSpec:
             raise ValueError(f"cannot build symbolic start point, names clash: {sorted(clash)}")
         big = RingCtx(self.space.vars + self.params + sym_names)
         start = [big.gen(s) for s in sym_names]
-        return eliminate(_orbit_graph(self, start, big), set(self.params))
+        end = [big.gen(v) for v in self.space.vars]
+        return eliminate(_orbit_graph(self, start, end, big), set(self.params))
 
 
 def check_invariant(spec: GroupActionSpec, f: Polynomial) -> bool:
@@ -151,21 +155,15 @@ def check_invariant(spec: GroupActionSpec, f: Polynomial) -> bool:
     constraints, which over a connected group is exact invariance."""
     if f.ring.vars != spec.space.vars:
         raise ValueError("polynomial must live on the space being acted on")
-    big = spec.combined
-    moved = substitute(f, {v: a for v, a in zip(spec.space.vars, spec.action)}, into=big)
-    delta = moved - lift(f, big)
-    return ideal_member(delta, spec.constraint_in_combined())
+    return ideal_member(spec.pullback(f) - lift(f, spec.combined), spec.constraint_in_combined)
 
 
-def _orbit_graph(spec: GroupActionSpec, start, big: RingCtx) -> Ideal:
-    """The graph of g -> g·start inside ``big``: (x_i - action_i(g, start))
-    plus the group constraints.  ``start`` gives one rational or polynomial
-    of ``big`` per space variable."""
+def _orbit_graph(spec: GroupActionSpec, start, end, big: RingCtx) -> Ideal:
+    """The system g·start = end inside ``big``: (end_i - action_i(g, start))
+    plus the group constraints.  ``start`` and ``end`` give one rational or
+    polynomial of ``big`` per space variable."""
     assignment = dict(zip(spec.space.vars, start))
-    gens = [
-        big.gen(name) - substitute(a, assignment, into=big)
-        for name, a in zip(spec.space.vars, spec.action)
-    ]
+    gens = [e - substitute(a, assignment, into=big) for e, a in zip(end, spec.action)]
     gens.extend(lift(g, big) for g in spec.constraint.generators)
     return Ideal(big, gens)
 
@@ -173,23 +171,16 @@ def _orbit_graph(spec: GroupActionSpec, start, big: RingCtx) -> Ideal:
 def orbit_closure(spec: GroupActionSpec, point) -> Ideal:
     """Ideal of the Zariski closure of the orbit of a rational point: the
     group parameters eliminated from the graph of the action at it."""
-    graph = _orbit_graph(spec, as_point(spec.space, point), spec.combined)
+    end = [spec.combined.gen(v) for v in spec.space.vars]
+    graph = _orbit_graph(spec, as_point(spec.space, point), end, spec.combined)
     return eliminate(graph, set(spec.params), into=spec.space)
 
 
 def same_orbit(spec: GroupActionSpec, p, q) -> bool:
     """Does some group element send p to q?  Solvability over the closure
     of the system action(g, p) = q together with the group constraints."""
-    pp = as_point(spec.space, p)
-    qq = as_point(spec.space, q)
-    pring = spec.param_ring()
-    assignment = {v: c for v, c in zip(spec.space.vars, pp)}
-    gens = []
-    for a, target in zip(spec.action, qq):
-        moved = substitute(a, assignment, into=pring)
-        gens.append(moved - pring.const(target))
-    gens.extend(spec.constraint.generators)
-    return not is_unit_ideal(Ideal(pring, gens))
+    pp, qq = as_point(spec.space, p), as_point(spec.space, q)
+    return not is_unit_ideal(_orbit_graph(spec, pp, qq, spec.constraint.ring))
 
 
 def fixed_stratum_check(spec: GroupActionSpec, stratum: ConstructibleSet) -> bool:
@@ -201,14 +192,12 @@ def fixed_stratum_check(spec: GroupActionSpec, stratum: ConstructibleSet) -> boo
     if stratum.ring.vars != spec.space.vars:
         raise ValueError("stratum must live on the space being acted on")
     big = spec.combined
-    cons = spec.constraint_in_combined()
     for piece in stratum.pieces:
         if piece.is_empty():
             continue
-        ambient = ideal_sum(lift_ideal(piece.carrier, big), cons)
+        ambient = ideal_sum(lift_ideal(piece.carrier, big), spec.constraint_in_combined)
         for name, a in zip(spec.space.vars, spec.action):
-            delta = a - lift(big.gen(name), big)
-            if not radical_member(delta, ambient):
+            if not radical_member(a - big.gen(name), ambient):
                 return False
     return True
 

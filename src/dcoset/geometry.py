@@ -67,14 +67,12 @@ class LocallyClosedPiece:
         of I, i.e. V(I) is contained in V(J).  A generator in I itself
         passes by reduction against I's cached basis, computed once for
         all of them; only the others run 1 - t*g in an extended ring.
-        With no excluded locus the piece is empty iff I is the unit ideal.
+        V(I) \\ V(0) is empty, with no generator to test.  With no excluded
+        locus the piece is empty iff I is the unit ideal.
         """
         if self._empty is None:
             if self.excluded is None:
                 self._empty = is_unit_ideal(self.carrier)
-            elif self.excluded.is_zero_ideal():
-                # removing V(0) = everything
-                self._empty = True
             else:
                 self._empty = all(
                     radical_member(g, self.carrier) for g in self.excluded.generators

@@ -368,10 +368,12 @@ def groebner_basis(ideal: Ideal):
 def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
     if f.ring.vars != ideal.ring.vars:
         raise ValueError("polynomial and ideal live in different rings")
+    if f.is_zero():
+        return True
     groebner_basis(ideal)
     f = lift(f, ideal.ring)
     divisors = ideal._gb[ideal.ring.order.tag()][1]
-    return f.is_zero() or not _reduce(_primitive(f.packed()), divisors, ideal.ring.packing)[0]
+    return not _reduce(_primitive(f.packed()), divisors, ideal.ring.packing)[0]
 
 
 def is_unit_ideal(ideal: Ideal) -> bool:
@@ -404,10 +406,6 @@ def radical_member(f: Polynomial, ideal: Ideal) -> bool:
     f in the ideal settles it first, against the ideal's cached basis; only
     the other answers run the extended ring, built from the raw generators.
     """
-    if f.ring.vars != ideal.ring.vars:
-        raise ValueError("polynomial and ideal live in different rings")
-    if f.is_zero():
-        return True
     return ideal_member(f, ideal) or is_unit_ideal(_inverting(ideal, f))
 
 
@@ -461,6 +459,10 @@ def ideal_sum(*ideals: Ideal) -> Ideal:
         if i.ring.vars != ring.vars:
             raise ValueError("ideals live in different rings")
         gens.extend(i.generators)
+    # a lone nonzero summand in the result's ring is kept, with its cached basis
+    nonzero = [i for i in ideals if not i.is_zero_ideal()]
+    if len(nonzero) == 1 and nonzero[0].ring == ring:
+        return nonzero[0]
     return Ideal(ring, gens)
 
 

@@ -51,6 +51,8 @@ from .groebner import (
     groebner_basis,
     ideal_member,
     ideal_product,
+    ideal_sum,
+    lift_ideal,
     radical_member,
 )
 from .geometry import (
@@ -723,15 +725,12 @@ def build_example2(mutated: bool = False) -> ScenarioSpec:
         "scaling action.",
     )
     def _():
-        assignment = dict(zip(W8.vars, full_action.action))
-        cons = full_action.constraint_in_combined()
-        big = full_action.combined
+        big, cons = full_action.combined, full_action.constraint_in_combined
         ok = True
         for colideal in (col1, col2):
-            target = Ideal(big, [lift(g, big) for g in colideal.generators] + list(cons.generators))
+            target = ideal_sum(lift_ideal(colideal, big), cons)
             for g in colideal.generators:
-                moved = substitute(g, assignment, into=big)
-                if not ideal_member(moved, target):
+                if not ideal_member(full_action.pullback(g), target):
                     ok = False
         return (
             ok,
@@ -937,13 +936,8 @@ def build_example3(mutated: bool = False) -> ScenarioSpec:
     )
     def _():
         big = act.combined
-        assignment = dict(zip(X4.vars, act.action))
-        p1 = substitute(x1, assignment, into=big)
-        p2 = substitute(-x3, assignment, into=big)
-        cross_pref = p1 * lift(-x3, big) - p2 * lift(x1, big)
-        q1 = substitute(x2, assignment, into=big)
-        q2 = substitute(x4, assignment, into=big)
-        cross_fall = q1 * lift(x4, big) - q2 * lift(x2, big)
+        cross_pref = act.pullback(x1) * lift(-x3, big) - act.pullback(-x3) * lift(x1, big)
+        cross_fall = act.pullback(x2) * lift(x4, big) - act.pullback(x4) * lift(x2, big)
         ideal_big = Ideal(big, [lift(cone_poly, big)])
         ok = ideal_member(cross_pref, ideal_big) and cross_fall.is_zero()
         return (

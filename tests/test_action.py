@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcoset.polyring import RingCtx, as_point, extend_ring
-from dcoset.groebner import Ideal, equal_ideals
+from dcoset.polyring import RingCtx, as_point, evaluate, extend_ring, substitute
+from dcoset.groebner import Ideal, equal_ideals, is_unit_ideal
 from dcoset.geometry import vanishing, whole_space
 from dcoset.morphism import PolyMap
 from dcoset.parsing import parse_point
@@ -19,6 +21,7 @@ from dcoset.action import (
     separation_report,
     separation_report_with,
 )
+from dcoset.scenarios import isotropic_shear_action, row_shear_action, scaling_action
 
 
 @pytest.fixture
@@ -209,3 +212,95 @@ def test_points_are_plain_tuples(shear, scaling):
         as_point(M, (1, 2, 3))
     with pytest.raises(TypeError):
         as_point(M, (1.0, 0, 0, 0))
+
+
+# the three built-in actions, each with a map from a nonzero rational t to
+# a group element that satisfies its constraints
+_ACTIONS = {
+    "row-shear": (row_shear_action(), lambda t: (t,)),
+    "scaling": (scaling_action(), lambda t: (t, 1 / t)),
+    "isotropic-shear": (isotropic_shear_action(), lambda t: (t,)),
+}
+_SMALL = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def _action_cases(draw):
+    """An action, a polynomial f and a point x on its space, a group
+    element g, and a second point that is g·x or drawn at random."""
+    spec, element = _ACTIONS[draw(st.sampled_from(sorted(_ACTIONS)))]
+    space = spec.space
+    exps = st.tuples(*[st.integers(0, 2)] * space.arity)
+    f = space.zero()
+    for e, c in draw(st.lists(st.tuples(exps, st.integers(-5, 5)), max_size=4)):
+        f = f + space.monomial(e, c)
+    x = tuple(draw(_SMALL) for _ in range(space.arity))
+    g = element(draw(_SMALL.filter(bool)))
+    if draw(st.booleans()):
+        y = spec.act_on_point(g, x)
+    else:
+        y = tuple(draw(_SMALL) for _ in range(space.arity))
+    return spec, f, as_point(space, x), g, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(_action_cases())
+def test_pullback_evaluates_to_f_at_the_moved_point(case):
+    spec, f, x, g, _ = case
+    pulled = spec.pullback(f)
+    assert pulled.ring == spec.combined
+    assert evaluate(pulled, x + as_point(spec.constraint.ring, g)) == evaluate(
+        f, spec.act_on_point(g, x)
+    )
+
+
+def _same_orbit_by_hand(spec, p, q):
+    """The system action(g, p) - q plus the group constraints, written out
+    in the parameter ring: the reference for same_orbit."""
+    pring = spec.constraint.ring
+    assignment = dict(zip(spec.space.vars, as_point(spec.space, p)))
+    gens = [
+        substitute(a, assignment, into=pring) - pring.const(t)
+        for a, t in zip(spec.action, as_point(spec.space, q))
+    ]
+    gens.extend(spec.constraint.generators)
+    return not is_unit_ideal(Ideal(pring, gens))
+
+
+@pytest.mark.parametrize(
+    "name,pairs,want",
+    [
+        (
+            "row-shear",
+            [
+                ((0, 0, 1, 1), (3, 3, 1, 1)),
+                ((0, 0, 1, 0), (0, 0, 0, 1)),
+                ((1, 0, 0, 0), (0, 1, 0, 0)),
+            ],
+            [True, False, False],
+        ),
+        (
+            "isotropic-shear",
+            [
+                ((1, 0, 2, 0), (3, 0, 6, 0)),
+                ((1, 0, 2, 0), (2, 0, 1, 0)),
+                ((1, 1, -1, 1), (0, 1, 0, 1)),
+                ((0, 1, 0, 1), (0, 1, 0, 2)),
+                ((2, 1, -2, 1), (-3, 1, 3, 1)),
+            ],
+            [False, False, True, False, True],
+        ),
+    ],
+)
+def test_same_orbit_on_the_scenario_separation_pairs(name, pairs, want):
+    spec, _ = _ACTIONS[name]
+    assert [same_orbit(spec, p, q) for p, q in pairs] == want
+    assert [_same_orbit_by_hand(spec, p, q) for p, q in pairs] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_action_cases())
+def test_same_orbit_agrees_with_the_system_by_hand(case):
+    spec, _, x, g, y = case
+    assert same_orbit(spec, x, y) == _same_orbit_by_hand(spec, x, y)
+    assert same_orbit(spec, x, spec.act_on_point(g, x))

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from dcoset import groebner
 from dcoset.polyring import RingCtx
 from dcoset.groebner import Ideal, equal_ideals, ideal_product
 from dcoset.geometry import (
     ConstructibleSet,
     closure,
+    complement,
     contains,
     contains_point,
     difference,
@@ -40,6 +42,17 @@ def test_piece_emptiness_when_excluded_covers(xy):
     # V(x) minus V(x*y): removing a superset leaves nothing
     s = locally_closed(Ideal(xy, [x]), Ideal(xy, [x * y]))
     assert is_empty(s)
+
+
+def test_removing_the_zero_locus_leaves_nothing(xy, monkeypatch):
+    x, y = xy.gens()
+    buchberger = groebner._buchberger
+    runs = []
+    monkeypatch.setattr(groebner, "_buchberger", lambda *a: runs.append(a) or buchberger(*a))
+    # V(I) \ V(0) is empty: the zero ideal has no generator to test
+    assert is_empty(locally_closed(Ideal(xy, [x * y - 1]), Ideal(xy, [])))
+    assert runs == []
+    assert is_empty(complement(whole_space(xy)))
 
 
 def test_membership(xy):

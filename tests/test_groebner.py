@@ -75,6 +75,20 @@ def test_ideal_member(xy):
     assert not ideal_member(x, I)
 
 
+def test_zero_is_a_member_without_a_basis(xy, monkeypatch):
+    x, y = xy.gens()
+    buchberger = groebner._buchberger
+    runs = []
+    monkeypatch.setattr(groebner, "_buchberger", lambda *a: runs.append(a) or buchberger(*a))
+    I = Ideal(xy, [x * y - 1])
+    assert ideal_member(xy.zero(), I)
+    assert radical_member(xy.zero(), I)
+    assert runs == []
+    for member in (ideal_member, radical_member):
+        with pytest.raises(ValueError, match="different rings"):
+            member(RingCtx(("z",)).zero(), I)
+
+
 def test_radical_membership(xy):
     x, y = xy.gens()
     I = Ideal(xy, [(x + y) ** 3])
@@ -186,6 +200,20 @@ def test_ideal_sum_and_product(xy):
     assert equal_ideals(ideal_product(A, B), Ideal(xy, [x * y]))
     # the zero ideal absorbs products
     assert ideal_product(A, Ideal(xy, [])).is_zero_ideal()
+
+
+def test_ideal_sum_returns_a_lone_summand_with_its_basis(xy):
+    x, y = xy.gens()
+    I = Ideal(xy, [x ** 2 - y])
+    zero = Ideal(xy, [])
+    assert ideal_sum(zero, I) is I
+    assert ideal_sum(I, zero, zero) is I
+    # a summand in another order than the first ideal's ring is moved
+    lex = RingCtx(xy.vars, LEX)
+    moved = ideal_sum(Ideal(lex, []), I)
+    assert moved is not I and moved.ring == lex
+    assert all(g.ring == lex for g in moved.generators)
+    assert equal_ideals(moved, Ideal(lex, I.generators))
 
 
 def test_fresh_var(xy):
