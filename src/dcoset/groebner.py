@@ -1,15 +1,19 @@
 """Buchberger's algorithm and the ideal operations built on it.
 
 The pipeline is deliberately deterministic.  Gebauer and Möller's update
-step (J. Symb. Comp. 6, 1988) keeps only the needed pairs, on a heap keyed
-by the order key of their lcm: the smallest is taken first, ties broken by
-index.  Every basis is interreduced to the unique reduced monic basis,
-sorted by leading monomial, then audited: the same update step, run on the
-basis's leading monomials alone, picks pairs whose syzygies (with those of
-the coprime pairs) generate all leading-term syzygies, and each of their
-S-polynomials must reduce to zero, which certifies a Groebner basis; and
-each input generator must reduce to zero, so the basis generates at least
-the input ideal.
+step (J. Symb. Comp. 6, 1988) keeps only the needed pairs, on a heap that
+pops them by sugar (Giovini, Mora, Niesi, Robbiano and Traverso, ISSAC
+1991), ties broken by the order key of their lcm and then by index.  On a
+graded order the lcm's key already compares degrees first, so pairs pop
+in the lcm order; on lex and elimination orders sugar holds back
+high-degree pairs.  Every basis is interreduced to the unique reduced
+monic basis, sorted by leading monomial, then audited: the same update
+step, run on the basis's leading monomials alone, picks pairs whose
+syzygies (with those of the coprime pairs) generate all leading-term
+syzygies, and each of their S-polynomials must reduce to zero, which
+certifies a Groebner basis; and each input generator must reduce to zero,
+so the basis generates at least the input ideal.  The zero ideal's basis
+is empty, with no engine run.
 
 The engine runs on the ring's packed monomials (see `polyring.Packing`)
 and on int coefficients.  A monomial product is an int addition, the key
@@ -264,17 +268,25 @@ def _buchberger(gens: Sequence[list], pk) -> list:
     basis = [_primitive(g) for g in gens if g]
     divisors = [_divisor(g) for g in basis]
     lms = [d[0] for d in divisors]
-    # the heap pops kept pairs by lcm, ties by index, skipping pruned ones
+    # The heap pops kept pairs by sugar, then lcm, then index, skipping
+    # pruned ones.  An input's sugar is its largest term degree, a pair's
+    # the degree of its lcm plus the larger ecart (sugar less leading
+    # degree) of its two elements, and a new element takes its pair's.  On
+    # a graded order the lcm's key compares degrees first and ecarts stay
+    # 0, so sugar is left at 0 and pairs pop in the order of their lcms.
+    graded, deg = pk.graded, pk.degree
+    ecarts = [] if graded else [max(deg(e) for _, e, _ in g) - deg(g[0][1]) for g in basis]
     pairs, live, heap = {}, [], []
 
     def add(h):
-        for entry in _update(pairs, live, lms, h, pk):
-            heappush(heap, entry)
+        for key, i, j, top in _update(pairs, live, lms, h, pk):
+            sugar = 0 if graded else deg(top) + max(ecarts[i], ecarts[j])
+            heappush(heap, (sugar, key, i, j, top))
 
     for h in range(len(basis)):
         add(h)
     while heap:
-        lcm_key, i, j, lcm_ij = heappop(heap)
+        sugar, lcm_key, i, j, lcm_ij = heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
         h = _reduce(_multiple(divisors[i], lcm_ij, lcm_key, pk.over), divisors, pk, divisors[j])[0]
@@ -284,6 +296,8 @@ def _buchberger(gens: Sequence[list], pk) -> list:
         basis.append(h)
         divisors.append(_divisor(h))
         lms.append(h[0][1])
+        if not graded:
+            ecarts.append(sugar - deg(lms[-1]))
         add(len(basis) - 1)
     return basis
 
@@ -354,6 +368,9 @@ def groebner_basis(ideal: Ideal):
     cached = ideal._gb.get(tag)
     if cached is not None:
         return cached[0]
+    if ideal.is_zero_ideal():  # no engine run, no interreduction, no audit
+        ideal._gb[tag] = ((), [])
+        return ()
     ring = ideal.ring
     gens = [g.packed() for g in ideal.generators]
     reduced = _reduced_basis(_buchberger(gens, ring.packing), ring.packing)

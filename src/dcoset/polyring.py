@@ -95,10 +95,13 @@ class Packing:
     a divides b iff ``(b - a) & guard == 0``, and `lcm` selects fields by
     the guard bits of ``(a | guard) - b`` (Monagan and Pearce, J. Symb.
     Comp. 46, 2011).  A sum of two valid vectors fits its fields, and
-    ``& over`` tells whether it is still valid.
+    ``& over`` tells whether it is still valid.  Multiplying by one unit
+    per field sums the fields into the top one, which holds the total
+    degree of a valid vector without carrying out: `degree`.  The order is
+    `graded` when it is one block, so that the key compares degrees first.
     """
 
-    __slots__ = ("shifts", "width", "guard", "over", "_images")
+    __slots__ = ("shifts", "width", "guard", "over", "graded", "_images", "_ones", "_top", "_low")
 
     def __init__(self, blocks, arity: int):
         if sorted(i for block in blocks for i in block) != list(range(arity)):
@@ -120,7 +123,11 @@ class Packing:
         self.width = width
         self.guard = fields << (width - 1)
         self.over = fields * (((1 << width) - 1) ^ _FIELD)
+        self.graded = len(blocks) == 1
         self._images = tuple(images)
+        self._ones = fields
+        self._top = width * (arity - 1)
+        self._low = (1 << width) - 1
 
     def pack(self, exps: Monomial) -> int:
         """Pack an exponent tuple; an exponent must lie in [0, EXPONENT_LIMIT)."""
@@ -144,6 +151,10 @@ class Packing:
             part = e & mask
             k += (part * ones & mask) - part
         return k
+
+    def degree(self, e: int) -> int:
+        """Total degree of a valid packed vector."""
+        return (e * self._ones >> self._top) & self._low
 
     def lcm(self, a: int, b: int) -> int:
         guard = self.guard

@@ -53,6 +53,18 @@ def test_gb_of_zero_ideal(xy):
     assert groebner_basis(Ideal(xy, [])) == ()
 
 
+def test_zero_ideal_runs_no_engine(xy, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the zero ideal reached the engine")
+
+    for name in ("_buchberger", "_reduced_basis", "_assert_fixed_point"):
+        monkeypatch.setattr(groebner, name, refuse)
+    zero = Ideal(xy, [xy.zero()])
+    assert groebner_basis(zero) == ()
+    assert not ideal_member(xy.gen("x"), zero)
+    assert not is_unit_ideal(zero)
+
+
 def test_unit_ideal(xy):
     x, _ = xy.gens()
     assert is_unit_ideal(Ideal(xy, [x, 1 - x]))
@@ -347,6 +359,92 @@ def test_audit_reduces_only_the_gebauer_moeller_pairs(monkeypatch, ideal, pairs)
     monkeypatch.setattr(groebner, "_multiple", lambda *a: formed.append(a) or multiple(*a))
     groebner._assert_fixed_point(basis, ideal.generators)
     assert len(formed) == pairs
+
+
+def _spair_run(monkeypatch, ideal):
+    """The (i, j) of each S-pair `_buchberger` reduces on ideal's generators,
+    in the order reduced, and its raw basis."""
+    reduce, multiple = groebner._reduce, groebner._multiple
+    pending, pairs = [], []
+
+    def tracked_multiple(record, *args):
+        pending[:] = [record]
+        return multiple(record, *args)
+
+    def tracked_reduce(terms, divisors, pk, first=None):
+        if first is not None:
+            ids = [id(d) for d in divisors]
+            pairs.append((ids.index(id(pending[0])), ids.index(id(first))))
+        return reduce(terms, divisors, pk, first)
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_multiple", tracked_multiple)
+        m.setattr(groebner, "_reduce", tracked_reduce)
+        basis = groebner._buchberger([g.packed() for g in ideal.generators], ideal.ring.packing)
+    return pairs, basis
+
+
+def _scaling_graph():
+    """The ideal generic_orbit_closure eliminates for the torus scaling of a
+    2x2 matrix: (m_ij - s*m_ij_0, s*u - 1), in the block order dropping s, u."""
+    names = ("m11", "m12", "m21", "m22", "s", "u", "m11_0", "m12_0", "m21_0", "m22_0")
+    R = RingCtx(names, block_order(RingCtx(names), ("s", "u")))
+    v = dict(zip(names, R.gens()))
+    gens = [v[m] - v["s"] * v[f"{m}_0"] for m in names[:4]]
+    return Ideal(R, gens + [v["s"] * v["u"] - 1])
+
+
+@pytest.mark.parametrize(
+    "ideal, reductions, raw",
+    [(_katsura(3, LEX), 17, 18), (_scaling_graph(), 40, 15)],
+    ids=["lex-katsura-3", "scaling-closure"],
+)
+def test_sugar_shortens_lex_and_elimination_runs(monkeypatch, ideal, reductions, raw):
+    # taking the smallest lcm first made 43 reductions and a raw basis of 34
+    # on lex katsura-3, and 86 and 25 on the scaling closure
+    pairs, basis = _spair_run(monkeypatch, ideal)
+    assert (len(pairs), len(basis)) == (reductions, raw)
+
+
+# The pairs each run reduced when the heap took the smallest lcm first:
+# on a graded order every ecart is 0, so sugar pops them in the same order.
+_GRADED_PAIRS = {
+    "cyclic-4": [
+        (0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (4, 6), (6, 8), (4, 8), (5, 7), (7, 9),
+        (5, 9),
+    ],
+    "cyclic-5": [
+        (0, 1), (0, 2), (0, 3), (5, 6), (0, 4), (6, 7), (5, 7), (6, 8), (7, 9), (6, 9),
+        (5, 9), (10, 11), (8, 11), (6, 11), (8, 10), (6, 10), (8, 14), (14, 17),
+        (6, 14), (13, 16), (12, 15), (10, 13), (7, 12), (7, 13), (5, 12), (8, 17),
+        (6, 17), (10, 16), (7, 15), (7, 16), (5, 15), (9, 22), (6, 22), (5, 22),
+        (18, 21), (13, 20), (13, 21), (8, 29), (6, 29), (11, 30), (10, 30), (7, 31),
+        (5, 31), (29, 30), (6, 30), (14, 29), (13, 32), (12, 31), (17, 29), (34, 35),
+        (16, 32), (32, 33), (32, 35), (15, 31), (31, 35), (30, 32), (7, 32), (33, 34),
+        (31, 34), (30, 33), (7, 33), (22, 36), (5, 36), (20, 38), (19, 37), (18, 35),
+        (32, 38), (31, 37), (30, 38), (7, 37), (7, 38), (5, 37), (23, 34), (27, 40),
+        (26, 36), (24, 39), (38, 40), (19, 36), (25, 39), (39, 40), (9, 40), (29, 39),
+        (6, 39), (12, 21), (42, 43), (32, 44), (33, 44), (30, 44), (7, 44), (41, 43),
+        (35, 45), (34, 45), (44, 45), (31, 45), (36, 43), (28, 42), (40, 41), (40, 42),
+        (36, 42), (39, 41), (36, 41), (21, 28), (20, 28), (19, 28), (24, 27), (11, 25),
+        (8, 25),
+    ],
+    "katsura-4": [
+        (1, 4), (0, 4), (5, 6), (3, 6), (3, 5), (2, 3), (1, 3), (1, 2), (8, 10),
+        (6, 10), (7, 9), (7, 10), (3, 9), (2, 9), (6, 8), (7, 8), (3, 7), (2, 7),
+        (10, 11), (6, 11), (6, 12), (9, 11), (9, 13), (5, 12), (3, 12), (3, 13),
+        (2, 13), (11, 14), (12, 14), (13, 14),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name, ideal",
+    [("cyclic-4", _cyclic(4)), ("cyclic-5", _cyclic(5)), ("katsura-4", _katsura(4))],
+    ids=["cyclic-4", "cyclic-5", "katsura-4"],
+)
+def test_sugar_keeps_graded_runs_step_for_step(monkeypatch, name, ideal):
+    assert _spair_run(monkeypatch, ideal)[0] == _GRADED_PAIRS[name]
 
 
 def test_exponents_at_the_packing_limit_are_refused():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dcoset.groebner import Ideal, groebner_basis, normal_form
 from dcoset.parsing import parse_point, parse_poly
 from dcoset.polyring import (
+    EXPONENT_LIMIT,
     GREVLEX,
     LEX,
     Polynomial,
@@ -102,6 +103,42 @@ def test_block_order_eliminates_first():
     # any monomial containing t beats any t-free monomial
     assert _key(order, (1, 0, 0)) > _key(order, (0, 5, 5))
     assert _key(order, (0, 2, 0)) > _key(order, (0, 1, 1))  # grevlex inside block
+
+
+def _order(kind, names, eliminated):
+    if kind == "block":
+        return block_order(RingCtx(names), eliminated)
+    return LEX if kind == "lex" else GREVLEX
+
+
+@st.composite
+def _packed_vectors(draw):
+    """A packing of arity 1-12 under lex, grevlex or a block order, and an
+    exponent vector of it with entries up to EXPONENT_LIMIT - 1."""
+    arity = draw(st.integers(1, 12))
+    names = tuple(f"x{i}" for i in range(arity))
+    kind = draw(st.sampled_from(("lex", "grevlex", "block")))
+    order = _order(kind, names, draw(st.sets(st.sampled_from(names))))
+    entry = st.one_of(st.integers(0, EXPONENT_LIMIT - 1), st.just(EXPONENT_LIMIT - 1))
+    return order.packing(arity), draw(st.lists(entry, min_size=arity, max_size=arity))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_vectors())
+def test_packed_degree_is_the_sum_of_exponents(case):
+    pk, exps = case
+    e = pk.pack(exps)
+    assert pk.degree(e) == sum(pk.unpack(e)) == sum(exps)
+
+
+@pytest.mark.parametrize("arity", range(1, 13))
+def test_packed_degree_at_the_field_limit(arity):
+    # every field full: the sum fills the top field and does not carry out
+    names = tuple(f"x{i}" for i in range(arity))
+    exps = [EXPONENT_LIMIT - 1] * arity
+    for kind in ("lex", "grevlex", "block"):
+        pk = _order(kind, names, names[: arity // 2]).packing(arity)
+        assert pk.degree(pk.pack(exps)) == arity * (EXPONENT_LIMIT - 1)
 
 
 def test_evaluate(xy):
