@@ -24,7 +24,11 @@ remainder by a leading coefficient's cofactor instead of dividing by it,
 taking the largest remaining term from a heap of negated int order keys
 (after Monagan and Pearce).  `_reduce` is the engine's only reducer: the
 S-polynomial of f and g is its first step on f's lcm-multiple, reducing
-the leading term by g.  Inputs are made primitive on entry; a basis
+the leading term by g.  A term is reduced by the first record whose
+leading monomial divides it, and a memo per divisor list keeps that
+search's answer for each monomial, so one search serves every reduction
+of a Buchberger run, of the interreduction, or of the audit and the
+`ideal_member` calls after it.  Inputs are made primitive on entry; a basis
 leaves monic over Q at the exit of `groebner_basis`, and `normal_form`
 divides out the scale it applied, both keeping integral values as ints.
 An exponent reaching `EXPONENT_LIMIT` raises `ValueError`.
@@ -147,7 +151,9 @@ def _multiple(record: tuple, top: int, top_key: int, over: int) -> list:
     return out
 
 
-def _reduce(terms: list, divisors: Sequence[tuple], pk, first: tuple | None = None) -> tuple:
+def _reduce(
+    terms: list, divisors: Sequence[tuple], pk, found: dict, first: tuple | None = None
+) -> tuple:
     """(r, λ) with r the remainder of λ·terms modulo divisor records, by
     pseudo-division: before a divisor with leading coefficient a reduces a
     term c·m, the working terms and the remainder are scaled by a/gcd(a, c),
@@ -156,11 +162,17 @@ def _reduce(terms: list, divisors: Sequence[tuple], pk, first: tuple | None = No
     if given: by g on f's lcm-multiple, that leaves their S-polynomial.  A
     heap of negated keys yields the largest remaining term first; a term
     that cancels is left in the heap and skipped when popped.
+
+    `found` memoizes the divisor search for the packed monomials met, and
+    serves every reduction against one list whose leading monomials only
+    grow by appending (a record may be replaced by one with the same
+    leading monomial).  An entry i >= 0 says divisors[i] is m's first
+    divisor, which it stays; an entry ~n says none of the first n records
+    divides m, so a later search scans only the records appended since.
     """
     if not terms or not divisors:
         return terms, 1
     guard, over = pk.guard, pk.over
-    lms = [d[0] for d in divisors]
     work = {}
     exps = {}
     for k, e, c in terms:
@@ -176,12 +188,16 @@ def _reduce(terms: list, divisors: Sequence[tuple], pk, first: tuple | None = No
             continue
         m = exps[nk]
         if first is None:
-            for i, lm in enumerate(lms):
-                if not (m - lm) & guard:
-                    break  # lm divides m
-            else:
-                out.append((-nk, m, c))
-                continue
+            i = found.get(m, -1)
+            if i < 0:
+                for i in range(~i, len(divisors)):
+                    if not (m - divisors[i][0]) & guard:
+                        break  # its lm divides m
+                else:
+                    found[m] = ~len(divisors)
+                    out.append((-nk, m, c))
+                    continue
+                found[m] = i
             lm, lk, a, tail = divisors[i]
         else:
             (lm, lk, a, tail), first = first, None
@@ -226,7 +242,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
         return f
     divisors = [_divisor(_primitive(b.packed())) for b in basis]
     terms = _primitive(f.packed())
-    r, lam = _reduce(terms, divisors, f.ring.packing)
+    r, lam = _reduce(terms, divisors, f.ring.packing, {})
     scale = as_rational(Fraction(f.packed()[0][2], terms[0][2] * lam))  # content(f)/λ
     return Polynomial.from_packed(f.ring, [(k, e, as_rational(scale * c)) for k, e, c in r])
 
@@ -276,7 +292,7 @@ def _buchberger(gens: Sequence[list], pk) -> list:
     # 0, so sugar is left at 0 and pairs pop in the order of their lcms.
     graded, deg = pk.graded, pk.degree
     ecarts = [] if graded else [max(deg(e) for _, e, _ in g) - deg(g[0][1]) for g in basis]
-    pairs, live, heap = {}, [], []
+    pairs, live, heap, found = {}, [], [], {}
 
     def add(h):
         for key, i, j, top in _update(pairs, live, lms, h, pk):
@@ -289,7 +305,8 @@ def _buchberger(gens: Sequence[list], pk) -> list:
         sugar, lcm_key, i, j, lcm_ij = heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue
-        h = _reduce(_multiple(divisors[i], lcm_ij, lcm_key, pk.over), divisors, pk, divisors[j])[0]
+        h = _multiple(divisors[i], lcm_ij, lcm_key, pk.over)
+        h = _reduce(h, divisors, pk, found, divisors[j])[0]
         if not h:
             continue
         h = _primitive(h)
@@ -316,24 +333,29 @@ def _reduced_basis(basis: list, pk) -> list:
         kept.append(basis[i])
         kept_lms.append(lm)
     # interreduce tails in one pass: leading monomials are fixed from here
-    # on, so a tail reduced against them stays reduced
-    divisors = [_divisor(g) for g in kept]
-    for i in range(len(kept)):
-        others = divisors[:i] + divisors[i + 1 :]
-        if others:
-            kept[i] = _primitive(_reduce(kept[i], others, pk)[0])
+    # on, so a tail reduced against them stays reduced; a monomial never
+    # divides a smaller one, so no tail term meets its own element, and a
+    # lone element is reduced already
+    if len(kept) > 1:
+        divisors = [_divisor(g) for g in kept]
+        found = {}
+        for i, ((key, lm, lc), *tail) in enumerate(kept):
+            r, lam = _reduce(tail, divisors, pk, found)
+            kept[i] = _primitive([(key, lm, lc * lam), *r])
             divisors[i] = _divisor(kept[i])
     kept.sort(reverse=True)  # by leading key, which is distinct
     return kept
 
 
-def _assert_fixed_point(basis: Sequence[Polynomial], generators: Sequence[Polynomial] = ()) -> list:
+def _assert_fixed_point(
+    basis: Sequence[Polynomial], generators: Sequence[Polynomial] = ()
+) -> tuple:
     """Certify that basis is a Groebner basis of an ideal containing the
     generators, and return its int divisor records, which come from basis
-    itself, never from the engine."""
+    itself, never from the engine, with their `_reduce` memo."""
     polys = (*basis, *generators)
     if not polys:
-        return []
+        return [], {}
     pk = polys[0].ring.packing
     divisors = [_divisor(_primitive(b.packed())) for b in basis]
     lms = [d[0] for d in divisors]
@@ -344,17 +366,18 @@ def _assert_fixed_point(basis: Sequence[Polynomial], generators: Sequence[Polyno
     pairs, live = {}, []
     for h in range(len(lms)):
         _update(pairs, live, lms, h, pk)
+    found = {}
     for key, i, j, top in sorted(pairs.values()):
-        if _reduce(_multiple(divisors[i], top, key, pk.over), divisors, pk, divisors[j])[0]:
+        if _reduce(_multiple(divisors[i], top, key, pk.over), divisors, pk, found, divisors[j])[0]:
             raise AssertionError(
                 f"S-polynomial of basis elements {i} and {j} does not reduce to zero"
             )
     # modulo a Groebner basis, a zero remainder proves membership: the
     # basis generates the input ideal or a larger one
     for n, g in enumerate(generators):
-        if _reduce(_primitive(g.packed()), divisors, pk)[0]:
+        if _reduce(_primitive(g.packed()), divisors, pk, found)[0]:
             raise AssertionError(f"generator {n} does not reduce to zero modulo the basis")
-    return divisors
+    return divisors, found
 
 
 def groebner_basis(ideal: Ideal):
@@ -369,7 +392,7 @@ def groebner_basis(ideal: Ideal):
     if cached is not None:
         return cached[0]
     if ideal.is_zero_ideal():  # no engine run, no interreduction, no audit
-        ideal._gb[tag] = ((), [])
+        ideal._gb[tag] = ((), [], {})
         return ()
     ring = ideal.ring
     gens = [g.packed() for g in ideal.generators]
@@ -377,8 +400,8 @@ def groebner_basis(ideal: Ideal):
     monic = (b if b[0][2] == 1 else [(k, e, as_rational(Fraction(c, b[0][2]))) for k, e, c in b]
              for b in reduced)
     basis = tuple(Polynomial.from_packed(ring, b) for b in monic)
-    # the audit's divisor records go with the basis, for ideal_member
-    ideal._gb[tag] = (basis, _assert_fixed_point(basis, ideal.generators))
+    # the audit's divisor records and their memo go with the basis, for ideal_member
+    ideal._gb[tag] = (basis, *_assert_fixed_point(basis, ideal.generators))
     return basis
 
 
@@ -389,8 +412,8 @@ def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
         return True
     groebner_basis(ideal)
     f = lift(f, ideal.ring)
-    divisors = ideal._gb[ideal.ring.order.tag()][1]
-    return not _reduce(_primitive(f.packed()), divisors, ideal.ring.packing)[0]
+    _, divisors, found = ideal._gb[ideal.ring.order.tag()]
+    return not _reduce(_primitive(f.packed()), divisors, ideal.ring.packing, found)[0]
 
 
 def is_unit_ideal(ideal: Ideal) -> bool:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
 
 import pytest
@@ -371,11 +372,11 @@ def _spair_run(monkeypatch, ideal):
         pending[:] = [record]
         return multiple(record, *args)
 
-    def tracked_reduce(terms, divisors, pk, first=None):
+    def tracked_reduce(terms, divisors, pk, found, first=None):
         if first is not None:
             ids = [id(d) for d in divisors]
             pairs.append((ids.index(id(pending[0])), ids.index(id(first))))
-        return reduce(terms, divisors, pk, first)
+        return reduce(terms, divisors, pk, found, first)
 
     with monkeypatch.context() as m:
         m.setattr(groebner, "_multiple", tracked_multiple)
@@ -585,8 +586,10 @@ def _nonzero_spair_remainders(ideal: Ideal) -> int:
             top = pk.lcm(fd[0], gd[0])
             key = pk.key(top)
             for divisors in (records[: j + 1], records):
-                new = groebner._reduce(groebner._multiple(fd, top, key, pk.over), divisors, pk, gd)[0]
-                assert new == groebner._reduce(_spoly(fd, gd, top, key, pk.over), divisors, pk)[0]
+                multiple = groebner._multiple(fd, top, key, pk.over)
+                new = groebner._reduce(multiple, divisors, pk, {}, gd)[0]
+                spoly = _spoly(fd, gd, top, key, pk.over)
+                assert new == groebner._reduce(spoly, divisors, pk, {})[0]
                 nonzero += bool(new)
     return nonzero
 
@@ -612,6 +615,145 @@ def test_spair_remainders_match_the_old_spolynomial(ideal):
 )
 def test_spair_remainders_match_the_old_spolynomial_on_families(ideal):
     assert _nonzero_spair_remainders(ideal)
+
+
+# `_reduce` before its divisor memo, frozen: it scanned the divisor list
+# from the start for every popped term
+
+
+def _linear_reduce(terms, divisors, pk, first=None):
+    if not terms or not divisors:
+        return terms, 1
+    guard, over = pk.guard, pk.over
+    lms = [d[0] for d in divisors]
+    work = {}
+    exps = {}
+    for k, e, c in terms:
+        work[-k] = c
+        exps[-k] = e
+    heap = list(work)
+    out = []
+    lam = 1
+    while heap:
+        nk = heappop(heap)
+        c = work.pop(nk, None)
+        if c is None:
+            continue
+        m = exps[nk]
+        if first is None:
+            for i, lm in enumerate(lms):
+                if not (m - lm) & guard:
+                    break
+            else:
+                out.append((-nk, m, c))
+                continue
+            lm, lk, a, tail = divisors[i]
+        else:
+            (lm, lk, a, tail), first = first, None
+        shift = m - lm
+        nshift = nk + lk
+        g = gcd(a, c)
+        s = a // g
+        if s != 1:
+            lam *= s
+            work = {mk: v * s for mk, v in work.items()}
+            out = [(k, e, v * s) for k, e, v in out]
+        factor = -(c // g)
+        for bk, bm, bc in tail:
+            mk = nshift - bk
+            old = work.get(mk)
+            if old is None:
+                e = bm + shift
+                if e & over:
+                    raise ValueError("exponent overflow")
+                work[mk] = factor * bc
+                exps[mk] = e
+                heappush(heap, mk)
+            else:
+                v = old + factor * bc
+                if v:
+                    work[mk] = v
+                else:
+                    del work[mk]
+    return out, lam
+
+
+def _random_polys(rng: random.Random, ring: RingCtx, count: int) -> list:
+    """count nonzero polynomials of degree at most 3 in ring."""
+    polys = []
+    while len(polys) < count:
+        p = ring.zero()
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * len(ring.vars)
+            for _ in range(rng.randint(0, 3)):
+                exps[rng.randrange(len(exps))] += 1
+            p = p + ring.monomial(exps, Fraction(rng.choice((-3, -2, -1, 1, 2, 5))))
+        if not p.is_zero():
+            polys.append(p)
+    return polys
+
+
+def _memo_walk(ideal: Ideal, rng: random.Random) -> int:
+    """Walk the records of a Buchberger run in order: against each prefix
+    records[: j + 1], reduce the S-pairs (i, j) and a few random polynomials,
+    all through one memo, and assert that each (r, λ) equals the linear
+    scan's.  Returns how many memo entries went from a miss to a divisor
+    appended after the miss."""
+    pk = ideal.ring.packing
+    basis = groebner._buchberger([g.packed() for g in ideal.generators], pk)
+    records = [groebner._divisor(b) for b in basis]
+    extra = [groebner._primitive(p.packed()) for p in _random_polys(rng, ideal.ring, 3)]
+    found, revived = {}, 0
+    for j, gd in enumerate(records):
+        divisors = records[: j + 1]
+        calls = [(terms, None) for terms in extra]
+        for fd in records[:j]:
+            top = pk.lcm(fd[0], gd[0])
+            calls.append((groebner._multiple(fd, top, pk.key(top), pk.over), gd))
+        for terms, first in calls:
+            misses = {m for m, i in found.items() if i < 0}
+            got = groebner._reduce(terms, divisors, pk, found, first)
+            assert got == _linear_reduce(terms, divisors, pk, first)
+            revived += sum(found[m] >= 0 for m in misses)
+    return revived
+
+
+@st.composite
+def _memo_cases(draw):
+    """A random ideal under grevlex, lex or a block order, and a seeded rng."""
+    rng = draw(st.randoms(use_true_random=False))
+    names = _names[: draw(st.integers(1, 3))]
+    order = draw(st.sampled_from((GREVLEX, LEX, block_order(RingCtx(names), names[:1]))))
+    ring = RingCtx(names, order)
+    return Ideal(ring, _random_polys(rng, ring, draw(st.integers(1, 3)))), rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(_memo_cases())
+def test_memoized_reduce_matches_the_linear_scan(case):
+    _memo_walk(*case)
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [_cyclic(4), _katsura(3, LEX), _scaling_graph()],
+    ids=["cyclic-4", "lex-katsura-3", "scaling-closure"],
+)
+def test_memo_rescans_the_records_appended_since_a_miss(ideal):
+    assert _memo_walk(ideal, random.Random(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_memo_cases())
+def test_cached_membership_answers_in_any_order(case):
+    ideal, rng = case
+    probes = _random_polys(rng, ideal.ring, 4)
+    probes += [g * p for g in ideal.generators for p in probes[:2]]
+    probes += [probes[-1] + p for p in probes[:2]]
+    for _ in range(3):
+        rng.shuffle(probes)
+        for f in probes:
+            assert ideal_member(f, ideal) == ideal_member(f, Ideal(ideal.ring, ideal.generators))
 
 
 def _all_pairs_audit(basis) -> bool:
