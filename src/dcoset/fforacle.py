@@ -163,7 +163,10 @@ def enumerate_points(p: int, arity: int):
 
 
 def _points(kind: str, p: int, arity: int, test: str) -> list:
-    """The points of F_p^arity that pass ``test``, in enumeration order."""
+    """The points of F_p^arity that pass ``test``, in enumeration order;
+    the test ``True`` passes every point, with no sweep compiled."""
+    if test == "True":
+        return list(enumerate_points(p, arity))
     points = []
     _sweep(kind, p, arity, test, "add(x)", "add")(enumerate_points(p, arity), points.append)
     return points

@@ -13,7 +13,11 @@ syzygies (with those of the coprime pairs) generate all leading-term
 syzygies, and each of their S-polynomials must reduce to zero, which
 certifies a Groebner basis; and each input generator must reduce to zero,
 so the basis generates at least the input ideal.  The zero ideal's basis
-is empty, with no engine run.
+is empty, with no engine run.  Generators that already form a reduced set
+(no leading monomial divides another's, equal ones included, and none
+divides a tail term) go to the audit first, made monic and sorted: if it
+certifies them, they are the ideal's unique reduced basis and no engine
+runs; otherwise Buchberger and the interreduction run as for any input.
 
 The engine runs on the ring's packed monomials (see `polyring.Packing`)
 and on int coefficients.  A monomial product is an int addition, the key
@@ -347,15 +351,15 @@ def _reduced_basis(basis: list, pk) -> list:
     return kept
 
 
-def _assert_fixed_point(
-    basis: Sequence[Polynomial], generators: Sequence[Polynomial] = ()
-) -> tuple:
-    """Certify that basis is a Groebner basis of an ideal containing the
-    generators, and return its int divisor records, which come from basis
-    itself, never from the engine, with their `_reduce` memo."""
+def _certify(basis: Sequence[Polynomial], generators: Sequence[Polynomial] = ()) -> tuple:
+    """(divisors, found, failure): the audit of basis as a Groebner basis of
+    an ideal containing the generators.  divisors are its int records, which
+    come from basis itself, never from the engine, and found their `_reduce`
+    memo; failure is None, or names the first S-pair or generator that does
+    not reduce to zero, where the audit stops."""
     polys = (*basis, *generators)
     if not polys:
-        return [], {}
+        return [], {}, None
     pk = polys[0].ring.packing
     divisors = [_divisor(_primitive(b.packed())) for b in basis]
     lms = [d[0] for d in divisors]
@@ -369,15 +373,47 @@ def _assert_fixed_point(
     found = {}
     for key, i, j, top in sorted(pairs.values()):
         if _reduce(_multiple(divisors[i], top, key, pk.over), divisors, pk, found, divisors[j])[0]:
-            raise AssertionError(
+            return divisors, found, (
                 f"S-polynomial of basis elements {i} and {j} does not reduce to zero"
             )
     # modulo a Groebner basis, a zero remainder proves membership: the
     # basis generates the input ideal or a larger one
     for n, g in enumerate(generators):
         if _reduce(_primitive(g.packed()), divisors, pk, found)[0]:
-            raise AssertionError(f"generator {n} does not reduce to zero modulo the basis")
+            return divisors, found, f"generator {n} does not reduce to zero modulo the basis"
+    return divisors, found, None
+
+
+def _assert_fixed_point(
+    basis: Sequence[Polynomial], generators: Sequence[Polynomial] = ()
+) -> tuple:
+    """`_certify`'s records and memo, raising AssertionError on a failure."""
+    divisors, found, failure = _certify(basis, generators)
+    if failure is not None:
+        raise AssertionError(failure)
     return divisors, found
+
+
+def _is_reduced(gens: list, guard: int) -> bool:
+    """Whether primitive lists form a reduced set: no leading monomial
+    divides another, equal ones included, and none divides a tail term."""
+    lms = [g[0][1] for g in gens]
+    for n, a in enumerate(lms):
+        for b in lms[:n]:
+            if not (a - b) & guard or not (b - a) & guard:
+                return False
+    return all((e - m) & guard for g in gens for _, e, _ in g[1:] for m in lms)
+
+
+def _monic(ring: RingCtx, terms: list, given: Polynomial | None = None) -> Polynomial:
+    """The monic polynomial of a primitive list; `given`, a polynomial whose
+    primitive list it is, is returned itself when it is monic already."""
+    lc = terms[0][2]
+    if lc != 1:
+        terms = [(k, e, as_rational(Fraction(c, lc))) for k, e, c in terms]
+    elif given is not None and given.packed()[0][2] == 1:
+        return given  # monic with lc 1 both ways: the same coefficients
+    return Polynomial.from_packed(ring, terms)
 
 
 def groebner_basis(ideal: Ideal):
@@ -394,12 +430,16 @@ def groebner_basis(ideal: Ideal):
     if ideal.is_zero_ideal():  # no engine run, no interreduction, no audit
         ideal._gb[tag] = ((), [], {})
         return ()
-    ring = ideal.ring
-    gens = [g.packed() for g in ideal.generators]
-    reduced = _reduced_basis(_buchberger(gens, ring.packing), ring.packing)
-    monic = (b if b[0][2] == 1 else [(k, e, as_rational(Fraction(c, b[0][2]))) for k, e, c in b]
-             for b in reduced)
-    basis = tuple(Polynomial.from_packed(ring, b) for b in monic)
+    ring, pk = ideal.ring, ideal.ring.packing
+    gens = [_primitive(g.packed()) for g in ideal.generators]
+    if _is_reduced(gens, pk.guard):  # audit first: made monic, is it a Groebner basis?
+        order = sorted(range(len(gens)), key=lambda n: gens[n][0][0], reverse=True)
+        basis = tuple(_monic(ring, gens[n], ideal.generators[n]) for n in order)
+        divisors, found, failure = _certify(basis, ideal.generators)
+        if failure is None:
+            ideal._gb[tag] = (basis, divisors, found)
+            return basis
+    basis = tuple(_monic(ring, b) for b in _reduced_basis(_buchberger(gens, pk), pk))
     # the audit's divisor records and their memo go with the basis, for ideal_member
     ideal._gb[tag] = (basis, *_assert_fixed_point(basis, ideal.generators))
     return basis

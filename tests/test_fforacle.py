@@ -114,6 +114,13 @@ def test_set_points_mod_p():
     assert _set_points(s, 3) == [(1, 0), (2, 0)]
 
 
+def test_a_true_test_takes_every_point_with_no_sweep():
+    with mock.patch.object(fforacle, "_compile", wraps=fforacle._compile) as spy:
+        assert _points("group", 3, 2, "True") == list(itertools.product(range(3), repeat=2))
+        assert _points("group", 5, 0, "True") == [()]
+    assert spy.call_args_list == []
+
+
 # -- compiled evaluators against polyring.evaluate, reduced mod p
 
 _R3 = RingCtx(("x", "y", "z"))
@@ -415,7 +422,9 @@ def test_generated_source_is_ints_and_indices(census, image, p, data):
         _set_points(ConstructibleSet(_R3, data.draw(st.lists(_PIECES, max_size=3))), p)
         _compile_map(polys, p)
     sources = [call.args[0] for call in spy.call_args_list]
-    assert [s.split("(")[0] for s in sources] == ["def sweep"] * 5
+    # a group with no constraint takes every parameter tuple, with no sweep
+    sweeps = 5 if spec.constraint.generators else 4
+    assert [s.split("(")[0] for s in sources] == ["def sweep"] * sweeps
     for source in sources:
         _assert_generated_grammar(source)
 
@@ -466,7 +475,7 @@ def test_generated_functions_are_named_by_kind_and_prime(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(fforacle, "_compile", recording)
-    enumerate_orbits(_shear_spec(), FpConfig(3))
+    enumerate_orbits(_scaling_spec(), FpConfig(3))
     R = RingCtx(("t",))
     parabola = PolyMap(R, RingCtx(("x", "y")), (R.gen("t"), R.gen("t") ** 2))
     enumerate_image(parabola, None, FpConfig(5))
@@ -523,18 +532,22 @@ def test_trivial_action_census():
     assert len(census.fixed_points) == 9
 
 
-def test_group_elements_respect_constraint():
+def _scaling_spec():
+    """The units s = 1/u scaling a line: a group cut out by a constraint."""
     P = RingCtx(("s", "u"))
     B = RingCtx(("m",))
     C = extend_ring(B, ("s", "u"))
-    spec = GroupActionSpec(
+    return GroupActionSpec(
         space=B,
         params=("s", "u"),
         constraint=Ideal(P, [P.gen("s") * P.gen("u") - 1]),
         action=(C.gen("s") * C.gen("m"),),
         identity={"s": 1, "u": 1},
     )
-    els = group_elements(spec, 5)
+
+
+def test_group_elements_respect_constraint():
+    els = group_elements(_scaling_spec(), 5)
     assert len(els) == 4  # the units of F_5
     assert all((s * u) % 5 == 1 for s, u in els)
 

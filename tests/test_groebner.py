@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -824,3 +825,139 @@ def test_gebauer_moeller_audit_agrees_with_all_pairs(case):
     assert _audit(basis) == verdict
     if variant == "as is":
         assert verdict
+
+
+# audit first: generators that already form a reduced set are audited as
+# the candidate basis, and only a failed audit runs the engine
+
+
+def _refuse_buchberger(*args):
+    raise AssertionError("the engine ran on an input that is its reduced basis")
+
+
+def _counting_buchberger():
+    """A patch of `_buchberger` that records its runs, and the runs."""
+    buchberger, runs = groebner._buchberger, []
+    return mock.patch.object(groebner, "_buchberger", lambda *a: runs.append(a) or buchberger(*a)), runs
+
+
+def _forced_buchberger(ideal: Ideal) -> tuple:
+    """The basis of a fresh copy of ideal computed with no audit-first path."""
+    with mock.patch.object(groebner, "_is_reduced", lambda *a: False):
+        return groebner_basis(Ideal(ideal.ring, ideal.generators))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_memo_cases())
+def test_scaled_shuffled_reduced_bases_take_the_audit_path(case):
+    ideal, rng = case
+    basis = groebner_basis(ideal)
+    scaled = [Fraction(rng.choice((-7, -2, 1, 3)), rng.choice((1, 2, 5))) * b for b in basis]
+    rng.shuffle(scaled)
+    with mock.patch.object(groebner, "_buchberger", _refuse_buchberger):
+        assert groebner_basis(Ideal(ideal.ring, scaled)) == basis
+
+
+def _divides(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+@st.composite
+def _reduced_inputs(draw):
+    """Random generators made a reduced set: each leading monomial neither
+    divides nor equals another kept one, and every tail term divisible by a
+    kept leading monomial is dropped.  About a third are no Groebner basis."""
+    rng = draw(st.randoms(use_true_random=False))
+    names = _names[: draw(st.integers(2, 3))]
+    ring = RingCtx(names, draw(st.sampled_from((GREVLEX, LEX))))
+    kept = []
+    for p in _random_polys(rng, ring, draw(st.integers(2, 6))):
+        lm = p.sorted_terms()[0][0]
+        if any(lm) and not any(_divides(lm, q[0][0]) or _divides(q[0][0], lm) for q in kept):
+            kept.append(p.sorted_terms())
+    lms = [terms[0][0] for terms in kept]
+    gens = [
+        ring.monomial(*terms[0])
+        + sum((ring.monomial(m, c) for m, c in terms[1:] if not any(_divides(l, m) for l in lms)), ring.zero())
+        for terms in kept
+    ]
+    return Ideal(ring, gens)
+
+
+def _sympy_basis(ideal: Ideal, basis: tuple):
+    """Our basis and sympy's reduced basis, each as a set of monic sympy
+    expressions."""
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(ideal.ring.vars)
+
+    def expr(poly):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s ** e for s, e in zip(symbols, m)))
+             for m, c in poly.sorted_terms()),
+            sympy.Integer(0),
+        )
+
+    def monic(e):
+        return sympy.expand(sympy.monic(e, *symbols) if e.free_symbols else sympy.Integer(1))
+
+    order = "lex" if ideal.ring.order == LEX else "grevlex"
+    theirs = sympy.groebner([expr(g) for g in ideal.generators], *symbols, order=order)
+    return {monic(expr(b)) for b in basis}, {monic(e) for e in theirs.exprs}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_reduced_inputs())
+def test_reduced_inputs_fall_back_exactly_when_no_basis(ideal):
+    assert groebner._is_reduced(
+        [groebner._primitive(g.packed()) for g in ideal.generators], ideal.ring.packing.guard
+    )
+    patch, runs = _counting_buchberger()
+    with patch:
+        basis = groebner_basis(ideal)
+    monic = sorted((g * (1 / Fraction(g.packed()[0][2])) for g in ideal.generators),
+                   key=lambda g: g.packed()[0][0], reverse=True)
+    # the input is a basis iff it comes back, made monic and sorted
+    assert len(runs) == (list(basis) != monic)
+    assert basis == _forced_buchberger(ideal)
+    ours, theirs = _sympy_basis(ideal, basis)
+    assert ours == theirs
+
+
+def test_a_reduced_input_that_is_no_basis_runs_buchberger(xy):
+    x, y = xy.gens()
+    ideal = Ideal(xy, [x ** 2 - y, x * y - 1])
+    patch, runs = _counting_buchberger()
+    with patch:
+        basis = groebner_basis(ideal)
+    assert len(runs) == 1
+    assert basis == _forced_buchberger(ideal) == (x ** 2 - y, x * y - 1, y ** 2 - x)
+
+
+def test_a_basis_that_is_not_reduced_comes_back_reduced(xy):
+    x, y = xy.gens()
+    patch, runs = _counting_buchberger()
+    with patch:
+        assert groebner_basis(Ideal(xy, [x + y, y])) == (x, y)
+    assert len(runs) == 1
+
+
+def test_equal_leading_monomials_never_take_the_audit_path(xy):
+    x, _ = xy.gens()
+    patch, runs = _counting_buchberger()
+    with patch:
+        assert groebner_basis(Ideal(xy, [x, 2 * x])) == (x,)
+    assert len(runs) == 1
+
+
+def test_a_lone_constant_is_the_unit_ideal_with_no_engine_run(xy):
+    with mock.patch.object(groebner, "_buchberger", _refuse_buchberger):
+        assert groebner_basis(Ideal(xy, [xy.const(3)])) == (xy.one(),)
+
+
+def test_monic_primitive_generators_are_the_basis_elements(xy):
+    x, y = xy.gens()
+    monic, half = x - 1, Fraction(1, 2) * y ** 2 - 1
+    with mock.patch.object(groebner, "_buchberger", _refuse_buchberger):
+        basis = groebner_basis(Ideal(xy, [monic, half]))
+    assert basis == (y ** 2 - 2, x - 1)
+    assert basis[1] is monic

@@ -39,18 +39,35 @@ def test_mutants_fail_exactly_their_target(name):
     assert [c.id for c in report.failing()] == [spec.targeted_check]
 
 
+def _count_engine(monkeypatch) -> tuple:
+    """Lists that record each fresh basis, as the audit accepts it, and each
+    Buchberger run."""
+    certify, buchberger = groebner._certify, groebner._buchberger
+    bases, runs = [], []
+
+    def counted_certify(*a):
+        out = certify(*a)
+        if out[2] is None:
+            bases.append(a[0])
+        return out
+
+    monkeypatch.setattr(groebner, "_certify", counted_certify)
+    monkeypatch.setattr(groebner, "_buchberger", lambda *a: runs.append(a) or buchberger(*a))
+    return bases, runs
+
+
 def test_example2_eliminates_the_scaling_orbit_closure_once(monkeypatch):
     # scaling-limit-point and scaling-orbit-closure-line share the scaling
     # action's generic orbit closure, eliminated once; example2's true
     # radical answers are settled by membership in the ideal, with no
     # extended-ring run, a sum with the zero ideal keeps the other summand
-    # and its basis, and the zero ideal's basis costs no run: 14 Buchberger
-    # runs in all
-    buchberger = groebner._buchberger
-    runs = []
-    monkeypatch.setattr(groebner, "_buchberger", lambda *a: runs.append(a) or buchberger(*a))
+    # and its basis, and the zero ideal's basis costs no run: 14 fresh
+    # bases in all, and only 2 of them need Buchberger, since the other
+    # inputs already are their reduced bases and pass the audit as they are
+    bases, runs = _count_engine(monkeypatch)
     assert run_scenario("example2").verdict == "pass"
-    assert len(runs) == 14
+    assert len(bases) == 14
+    assert len(runs) == 2
 
 
 def test_a_pass_runs_the_extended_ring_only_off_the_ideal(monkeypatch):
@@ -67,14 +84,14 @@ def test_a_pass_runs_the_extended_ring_only_off_the_ideal(monkeypatch):
 def test_a_pass_computes_no_basis_for_zero_and_keeps_lone_summands(monkeypatch):
     # f = 0 is a member of every ideal before any basis is computed, a sum
     # with zero ideals is the other summand itself, cached basis and all,
-    # and the zero ideal's empty basis needs no run: 194 Buchberger runs
-    # over all 8 scenarios
-    buchberger = groebner._buchberger
-    runs = []
-    monkeypatch.setattr(groebner, "_buchberger", lambda *a: runs.append(a) or buchberger(*a))
+    # and the zero ideal's empty basis needs no run: 194 fresh bases over
+    # all 8 scenarios, of which 58 need Buchberger and the other 136 inputs
+    # pass the audit as they are
+    bases, runs = _count_engine(monkeypatch)
     for name in scenario_names():
         run_scenario(name)
-    assert len(runs) == 194
+    assert len(bases) == 194
+    assert len(runs) == 58
 
 
 def test_reports_are_deterministic():
