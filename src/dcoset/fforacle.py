@@ -131,8 +131,11 @@ def _vanish_source(gens, p: int, var: str = "x") -> str:
 
 def _set_source(s: ConstructibleSet | None, p: int, var: str = "x") -> str:
     """A point lies in V(I) minus V(J) when every generator of I vanishes
-    there and some generator of J does not; None is the whole space."""
-    if s is None:
+    there and some generator of J does not; None, or a piece with no
+    generators and nothing excluded, is the whole space: ``True``."""
+    if s is None or any(
+        not piece.carrier.generators and piece.excluded is None for piece in s.pieces
+    ):
         return "True"
     pieces = []
     for piece in s.pieces:

@@ -1,16 +1,21 @@
 """Buchberger's algorithm and the ideal operations built on it.
 
-The pipeline is deliberately deterministic.  Gebauer and Möller's update
-step (J. Symb. Comp. 6, 1988) keeps only the needed pairs, on a heap that
-pops them by sugar (Giovini, Mora, Niesi, Robbiano and Traverso, ISSAC
-1991), ties broken by the order key of their lcm and then by index.  On a
-graded order the lcm's key already compares degrees first, so pairs pop
-in the lcm order; on lex and elimination orders sugar holds back
-high-degree pairs.  Every basis is interreduced to the unique reduced
-monic basis, sorted by leading monomial, then audited: the same update
-step, run on the basis's leading monomials alone, picks pairs whose
-syzygies (with those of the coprime pairs) generate all leading-term
-syzygies, and each of their S-polynomials must reduce to zero, which
+The pipeline is deliberately deterministic.  On a graded order (grevlex,
+or one variable) Buchberger's algorithm runs signature-based, as
+incremental F5 in the RB form (Eder and Faugère, J. Symb. Comp. 80,
+2017): it takes the sorted inputs one at a time and drops each signature
+that a known syzygy predicts, so on a regular sequence such as cyclic-5
+or katsura-4 no reduction reaches zero.  On lex and elimination orders
+Gebauer and Möller's update step (J. Symb. Comp. 6, 1988) keeps only the
+needed pairs, on a heap that pops them by sugar (Giovini, Mora, Niesi,
+Robbiano and Traverso, ISSAC 1991), ties broken by the order key of their
+lcm and then by index, so that sugar holds back high-degree pairs.  Either
+way the criteria decide only how fast the basis comes, never what it is:
+every basis is interreduced to the unique reduced monic basis, sorted by
+leading monomial, then audited: the update step, run on the basis's
+leading monomials alone, picks pairs whose syzygies (with those of the
+coprime pairs) generate all leading-term syzygies, and each of their
+S-polynomials must reduce to zero, which
 certifies a Groebner basis; and each input generator must reduce to zero,
 so the basis generates at least the input ideal.  The zero ideal's basis
 is empty, with no engine run.  Generators that already form a reduced set
@@ -156,7 +161,12 @@ def _multiple(record: tuple, top: int, top_key: int, over: int) -> list:
 
 
 def _reduce(
-    terms: list, divisors: Sequence[tuple], pk, found: dict, first: tuple | None = None
+    terms: list,
+    divisors: Sequence[tuple],
+    pk,
+    found: dict,
+    first: tuple | None = None,
+    bound: tuple | None = None,
 ) -> tuple:
     """(r, λ) with r the remainder of λ·terms modulo divisor records, by
     pseudo-division: before a divisor with leading coefficient a reduces a
@@ -173,10 +183,19 @@ def _reduce(
     leading monomial).  An entry i >= 0 says divisors[i] is m's first
     divisor, which it stays; an entry ~n says none of the first n records
     divides m, so a later search scans only the records appended since.
+
+    A `bound` (start, sigs, skey) makes the reduction regular for a
+    signature of key skey: the records before `start` sign below it
+    whatever their multiple, and divisors[start + j], of signature key
+    sigs[j], reduces a term only when its multiple signs below it, that is
+    when key(term) - key(lm) + sigs[j] < skey.  r is None when the leading
+    term has a divisor but only multiples of signature key skey among them.
     """
     if not terms or not divisors:
         return terms, 1
     guard, over = pk.guard, pk.over
+    n = len(divisors)
+    start = n if bound is None else bound[0]
     work = {}
     exps = {}
     for k, e, c in terms:
@@ -194,14 +213,29 @@ def _reduce(
         if first is None:
             i = found.get(m, -1)
             if i < 0:
-                for i in range(~i, len(divisors)):
+                for i in range(~i, n):
                     if not (m - divisors[i][0]) & guard:
                         break  # its lm divides m
                 else:
-                    found[m] = ~len(divisors)
+                    found[m] = ~n
                     out.append((-nk, m, c))
                     continue
                 found[m] = i
+            if i >= start:  # the first divisor is of the bound's own index
+                _, sigs, skey = bound
+                singular = False
+                for i in range(i, n):
+                    lm, lk = divisors[i][:2]
+                    if not (m - lm) & guard:
+                        s = sigs[i - start] - nk - lk
+                        if s < skey:
+                            break
+                        singular = singular or s == skey
+                else:
+                    if singular and not out:
+                        return None, lam
+                    out.append((-nk, m, c))
+                    continue
             lm, lk, a, tail = divisors[i]
         else:
             (lm, lk, a, tail), first = first, None
@@ -285,23 +319,26 @@ def _update(pairs: dict, live: list, lms: list, h: int, pk) -> list:
 
 
 def _buchberger(gens: Sequence[list], pk) -> list:
+    """A Groebner basis of the lists gens, as primitive lists: by the
+    signature loop on a graded order, by the sugar loop on any other."""
     basis = [_primitive(g) for g in gens if g]
+    return (_signature_loop if pk.graded else _sugar_loop)(basis, pk)
+
+
+def _sugar_loop(basis: list, pk) -> list:
     divisors = [_divisor(g) for g in basis]
     lms = [d[0] for d in divisors]
     # The heap pops kept pairs by sugar, then lcm, then index, skipping
     # pruned ones.  An input's sugar is its largest term degree, a pair's
     # the degree of its lcm plus the larger ecart (sugar less leading
-    # degree) of its two elements, and a new element takes its pair's.  On
-    # a graded order the lcm's key compares degrees first and ecarts stay
-    # 0, so sugar is left at 0 and pairs pop in the order of their lcms.
-    graded, deg = pk.graded, pk.degree
-    ecarts = [] if graded else [max(deg(e) for _, e, _ in g) - deg(g[0][1]) for g in basis]
+    # degree) of its two elements, and a new element takes its pair's.
+    deg = pk.degree
+    ecarts = [max(deg(e) for _, e, _ in g) - deg(g[0][1]) for g in basis]
     pairs, live, heap, found = {}, [], [], {}
 
     def add(h):
         for key, i, j, top in _update(pairs, live, lms, h, pk):
-            sugar = 0 if graded else deg(top) + max(ecarts[i], ecarts[j])
-            heappush(heap, (sugar, key, i, j, top))
+            heappush(heap, (deg(top) + max(ecarts[i], ecarts[j]), key, i, j, top))
 
     for h in range(len(basis)):
         add(h)
@@ -317,10 +354,91 @@ def _buchberger(gens: Sequence[list], pk) -> list:
         basis.append(h)
         divisors.append(_divisor(h))
         lms.append(h[0][1])
-        if not graded:
-            ecarts.append(sugar - deg(lms[-1]))
+        ecarts.append(sugar - deg(lms[-1]))
         add(len(basis) - 1)
     return basis
+
+
+def _signature_loop(basis: list, pk) -> list:
+    """Incremental F5 in the RB form surveyed by Eder and Faugère (J. Symb.
+    Comp. 80, 2017), with position-over-term signatures m·e_i compared by
+    (i, key(m)).  The inputs are taken in sorted order, which on a graded
+    order compares their sugar first; each one's index runs its signatures
+    in increasing order, as packed monomials m with keys.  A signature is
+    dropped when a known syzygy signature divides it: a leading monomial of
+    the earlier indices' elements (F5's criterion) or the signature of a
+    reduction that reached zero.  Each surviving signature is computed once,
+    from the element whose multiple has the smallest leading monomial, the
+    latest on ties (Roune and Stillman, ISSAC 2012), and reduced regularly:
+    only by multiples of smaller signature.  It is dropped when its leading
+    term can be reduced only by a multiple of equal signature."""
+    guard, over, key, lcm = pk.guard, pk.over, pk.key, pk.lcm
+    divisors, found, out = [], {}, []
+    earlier = []  # the earlier indices' records with minimal leading monomials
+    for r in sorted(basis):
+        start = len(divisors)
+        syz = [divisors[j][0] for j in earlier]
+        sigs, sexps, heap = [], [], []
+        skey = sexp = last = 0  # the signature e_i: the monomial 1
+        while True:
+            # None when singular: an element of this index covers the signature
+            r = _reduce(r, divisors, pk, found, None, (start, sigs, skey))[0]
+            if r == []:  # a syzygy of this signature
+                syz = [s for s in syz if (s - sexp) & guard]
+                syz.append(sexp)
+            elif r:
+                r = _primitive(r)
+                lk, lm = r[0][:2]
+                if not lm:
+                    return [r]  # a constant: the unit ideal
+                # J-pairs: of each pair, the larger signature, if not singular
+                for j in earlier + list(range(start, len(divisors))):
+                    t = lcm(lm, divisors[j][0])
+                    tk = key(t)
+                    sig, sk = sexp + t - lm, skey + tk - lk
+                    if j >= start:
+                        jk = sigs[j - start] + tk - divisors[j][1]
+                        if jk == sk:
+                            continue
+                        if jk > sk:
+                            sig, sk = sexps[j - start] + t - divisors[j][0], jk
+                    if sk > skey:
+                        if sig & over:
+                            raise _overflow()
+                        heappush(heap, (sk, sig))
+                divisors.append(_divisor(r))
+                sigs.append(skey)
+                sexps.append(sexp)
+                out.append(r)
+            # the next signature no known syzygy's divides
+            while heap:
+                sk, sig = heappop(heap)
+                if sk != last:
+                    last = sk
+                    if all((sig - s) & guard for s in syz):
+                        break
+            else:
+                break
+            # its rewriter: the smallest leading monomial of a multiple, the
+            # latest on ties
+            mk, j = min(
+                (sk - sigs[j] + divisors[start + j][1], -j)
+                for j, s in enumerate(sexps)
+                if not (sig - s) & guard
+            )
+            record = divisors[start - j]  # j is negated
+            top = record[0] + sig - sexps[-j]
+            if top & over:
+                raise _overflow()
+            r = _multiple(record, top, mk, over)
+            skey, sexp = sk, sig
+        # the next index's earlier records: minimal leading monomials
+        for j in range(start, len(divisors)):
+            lm = divisors[j][0]
+            if all((lm - divisors[i][0]) & guard for i in earlier):
+                earlier = [i for i in earlier if (divisors[i][0] - lm) & guard]
+                earlier.append(j)
+    return out
 
 
 def _reduced_basis(basis: list, pk) -> list:

@@ -201,6 +201,7 @@ def _pieces(ring):
 
 
 _PIECES = _pieces(_R3)
+_PROPER_PIECES = _PIECES.filter(lambda piece: piece.carrier.generators or piece.excluded is not None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -419,7 +420,8 @@ def test_generated_source_is_ints_and_indices(census, image, p, data):
         except ValueError:  # the domain is not stable under the action
             pass
         enumerate_image(f, source_domain, FpConfig(r))
-        _set_points(ConstructibleSet(_R3, data.draw(st.lists(_PIECES, max_size=3))), p)
+        # a whole-space piece makes the set's test True, with no sweep
+        _set_points(ConstructibleSet(_R3, data.draw(st.lists(_PROPER_PIECES, max_size=3))), p)
         _compile_map(polys, p)
     sources = [call.args[0] for call in spy.call_args_list]
     # a group with no constraint takes every parameter tuple, with no sweep
@@ -427,6 +429,14 @@ def test_generated_source_is_ints_and_indices(census, image, p, data):
     assert [s.split("(")[0] for s in sources] == ["def sweep"] * sweeps
     for source in sources:
         _assert_generated_grammar(source)
+
+
+def test_a_whole_space_piece_takes_every_point_with_no_sweep():
+    x, y, z = _R3.gens()
+    s = ConstructibleSet(_R3, [*vanishing(Ideal(_R3, [x - y])).pieces, *whole_space(_R3).pieces])
+    assert _set_source(s, 3) == "True"
+    with mock.patch.object(fforacle, "_compile", side_effect=AssertionError("compiled")):
+        assert _set_points(s, 3) == sorted(_all_points(3, 3))
 
 
 def test_sweeps_take_thirty_variables(monkeypatch):
@@ -479,7 +489,7 @@ def test_generated_functions_are_named_by_kind_and_prime(monkeypatch):
     R = RingCtx(("t",))
     parabola = PolyMap(R, RingCtx(("x", "y")), (R.gen("t"), R.gen("t") ** 2))
     enumerate_image(parabola, None, FpConfig(5))
-    _set_points(whole_space(R), 7)
+    _set_points(vanishing(Ideal(R, [R.gen("t")])), 7)
     names = [f.__code__.co_filename for f in made]
     assert names == [
         "<dcoset group sweep p=3>",

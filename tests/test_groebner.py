@@ -5,7 +5,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcoset import groebner
@@ -408,45 +408,71 @@ def test_sugar_shortens_lex_and_elimination_runs(monkeypatch, ideal, reductions,
     assert (len(pairs), len(basis)) == (reductions, raw)
 
 
-# The pairs each run reduced when the heap took the smallest lcm first:
-# on a graded order every ecart is 0, so sugar pops them in the same order.
-_GRADED_PAIRS = {
-    "cyclic-4": [
-        (0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (4, 6), (6, 8), (4, 8), (5, 7), (7, 9),
-        (5, 9),
-    ],
-    "cyclic-5": [
-        (0, 1), (0, 2), (0, 3), (5, 6), (0, 4), (6, 7), (5, 7), (6, 8), (7, 9), (6, 9),
-        (5, 9), (10, 11), (8, 11), (6, 11), (8, 10), (6, 10), (8, 14), (14, 17),
-        (6, 14), (13, 16), (12, 15), (10, 13), (7, 12), (7, 13), (5, 12), (8, 17),
-        (6, 17), (10, 16), (7, 15), (7, 16), (5, 15), (9, 22), (6, 22), (5, 22),
-        (18, 21), (13, 20), (13, 21), (8, 29), (6, 29), (11, 30), (10, 30), (7, 31),
-        (5, 31), (29, 30), (6, 30), (14, 29), (13, 32), (12, 31), (17, 29), (34, 35),
-        (16, 32), (32, 33), (32, 35), (15, 31), (31, 35), (30, 32), (7, 32), (33, 34),
-        (31, 34), (30, 33), (7, 33), (22, 36), (5, 36), (20, 38), (19, 37), (18, 35),
-        (32, 38), (31, 37), (30, 38), (7, 37), (7, 38), (5, 37), (23, 34), (27, 40),
-        (26, 36), (24, 39), (38, 40), (19, 36), (25, 39), (39, 40), (9, 40), (29, 39),
-        (6, 39), (12, 21), (42, 43), (32, 44), (33, 44), (30, 44), (7, 44), (41, 43),
-        (35, 45), (34, 45), (44, 45), (31, 45), (36, 43), (28, 42), (40, 41), (40, 42),
-        (36, 42), (39, 41), (36, 41), (21, 28), (20, 28), (19, 28), (24, 27), (11, 25),
-        (8, 25),
-    ],
-    "katsura-4": [
-        (1, 4), (0, 4), (5, 6), (3, 6), (3, 5), (2, 3), (1, 3), (1, 2), (8, 10),
-        (6, 10), (7, 9), (7, 10), (3, 9), (2, 9), (6, 8), (7, 8), (3, 7), (2, 7),
-        (10, 11), (6, 11), (6, 12), (9, 11), (9, 13), (5, 12), (3, 12), (3, 13),
-        (2, 13), (11, 14), (12, 14), (13, 14),
-    ],
-}
+# The signature loop runs every graded order.  Its statistics are
+# deterministic: the signatures it reduces, how many reach zero, how many
+# are dropped as singular, and the raw basis size.  cyclic-5 and katsura-4
+# are regular sequences, on which no reduction reaches zero.
+
+
+def _signature_stats(ideal: Ideal, gens=None) -> tuple:
+    """(signatures reduced, zero remainders, singular drops, raw basis) of
+    the signature loop on ideal's generators, or on gens in their place."""
+    reduce, results = groebner._reduce, []
+
+    def tracked(terms, divisors, pk, found, first=None, bound=None):
+        r = reduce(terms, divisors, pk, found, first, bound)
+        if bound is not None:
+            results.append(r[0])
+        return r
+
+    gens = ideal.generators if gens is None else gens
+    with mock.patch.object(groebner, "_reduce", tracked):
+        basis = groebner._buchberger([g.packed() for g in gens], ideal.ring.packing)
+    stats = len(results), sum(r == [] for r in results), sum(r is None for r in results)
+    return stats, basis
 
 
 @pytest.mark.parametrize(
-    "name, ideal",
-    [("cyclic-4", _cyclic(4)), ("cyclic-5", _cyclic(5)), ("katsura-4", _katsura(4))],
-    ids=["cyclic-4", "cyclic-5", "katsura-4"],
+    "ideal, stats",
+    [
+        (_cyclic(4), (8, 1, 0, 7)),
+        (_cyclic(5), (63, 0, 24, 39)),
+        (_katsura(3), (8, 0, 0, 8)),
+        (_katsura(4), (16, 0, 0, 16)),
+    ],
+    ids=["cyclic-4", "cyclic-5", "katsura-3", "katsura-4"],
 )
-def test_sugar_keeps_graded_runs_step_for_step(monkeypatch, name, ideal):
-    assert _spair_run(monkeypatch, ideal)[0] == _GRADED_PAIRS[name]
+def test_signature_runs_are_pinned(ideal, stats):
+    counts, basis = _signature_stats(ideal)
+    assert (*counts, len(basis)) == stats
+
+
+# cyclic-6's reduced basis under grevlex, by leading exponent vector, as
+# the sugar loop computed it
+
+
+_CYCLIC6_LMS = [
+    (0, 0, 0, 0, 3, 6), (0, 0, 1, 1, 0, 7), (0, 0, 0, 2, 0, 7), (0, 1, 0, 0, 1, 7),
+    (0, 0, 1, 0, 1, 7), (0, 0, 0, 1, 1, 7), (0, 0, 0, 0, 2, 7), (0, 1, 0, 0, 0, 8),
+    (0, 0, 1, 0, 0, 8), (0, 0, 0, 1, 0, 8), (0, 0, 0, 0, 0, 9), (0, 1, 0, 1, 1, 5),
+    (0, 0, 1, 1, 1, 5), (0, 0, 0, 2, 1, 5), (0, 1, 0, 0, 2, 5), (0, 0, 1, 0, 2, 5),
+    (0, 0, 0, 1, 2, 5), (0, 1, 1, 0, 0, 6), (0, 0, 2, 0, 0, 6), (0, 1, 0, 1, 0, 6),
+    (0, 0, 0, 0, 4, 3), (0, 0, 0, 3, 0, 4), (0, 1, 1, 0, 1, 4), (0, 0, 2, 0, 1, 4),
+    (0, 0, 1, 2, 0, 3), (0, 0, 0, 0, 5, 0), (0, 0, 1, 3, 0, 0), (0, 0, 0, 4, 0, 0),
+    (0, 0, 1, 2, 1, 0), (0, 0, 0, 3, 1, 0), (0, 1, 1, 0, 2, 0), (0, 0, 2, 0, 2, 0),
+    (0, 1, 0, 1, 2, 0), (0, 0, 1, 1, 2, 0), (0, 0, 0, 2, 2, 0), (0, 1, 0, 0, 3, 0),
+    (0, 0, 1, 0, 3, 0), (0, 0, 0, 1, 3, 0), (0, 1, 2, 0, 0, 0), (0, 0, 3, 0, 0, 0),
+    (0, 1, 1, 1, 0, 0), (0, 0, 2, 1, 0, 0), (0, 1, 0, 2, 0, 0), (0, 2, 0, 0, 0, 0),
+    (1, 0, 0, 0, 0, 0),
+]
+
+
+def test_cyclic6_basis_keeps_its_leading_monomials():
+    ideal = _cyclic(6)
+    stats, _ = _signature_stats(ideal)
+    assert stats == (415, 8, 252)
+    basis = groebner_basis(ideal)  # audited on return
+    assert [b.sorted_terms()[0][0] for b in basis] == _CYCLIC6_LMS
 
 
 def test_exponents_at_the_packing_limit_are_refused():
@@ -961,3 +987,50 @@ def test_monic_primitive_generators_are_the_basis_elements(xy):
         basis = groebner_basis(Ideal(xy, [monic, half]))
     assert basis == (y ** 2 - 2, x - 1)
     assert basis[1] is monic
+
+
+# the signature loop against the sugar loop and sympy on graded orders
+
+
+@st.composite
+def _graded_ideals(draw):
+    """Random generators of degree at most 3 in 2-4 variables under
+    grevlex, or in one variable under lex or grevlex."""
+    rng = draw(st.randoms(use_true_random=False))
+    names = ("x", "y", "z", "w")[: draw(st.integers(1, 4))]
+    order = draw(st.sampled_from((GREVLEX, LEX))) if len(names) == 1 else GREVLEX
+    ring = RingCtx(names, order)
+    return Ideal(ring, _random_polys(rng, ring, draw(st.integers(2, 4))))
+
+
+_XY = RingCtx(("x", "y"))
+_X, _Y = _XY.gens()
+
+
+def _sugar_basis(ideal: Ideal) -> tuple:
+    """The basis of a fresh copy of ideal, computed by the sugar loop."""
+    def sugar(gens, pk):
+        return groebner._sugar_loop([groebner._primitive(g) for g in gens], pk)
+
+    with mock.patch.object(groebner, "_buchberger", sugar):
+        return _forced_buchberger(ideal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graded_ideals())
+# reducing by a multiple of equal signature too loses a basis element here
+@example(Ideal(_XY, [_X ** 2 * _Y, _X * _Y ** 2 - 3 * _X + 2 * _Y]))
+def test_signature_loop_agrees_with_the_sugar_loop_and_sympy(ideal):
+    assert ideal.ring.packing.graded
+    basis = _forced_buchberger(ideal)
+    assert basis == _sugar_basis(ideal)
+    ours, theirs = _sympy_basis(ideal, basis)
+    assert ours == theirs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graded_ideals(), st.randoms(use_true_random=False))
+def test_signature_runs_ignore_the_generator_order(ideal, rng):
+    gens = list(ideal.generators)
+    rng.shuffle(gens)
+    assert _signature_stats(ideal, gens) == _signature_stats(ideal)
